@@ -7,7 +7,6 @@ truncate codes.
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,16 +18,12 @@ from sl2rotor.suites import SUITES, run_suite
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="sets SL2ROTOR_THREADS for the sweeps")
     ap.add_argument("--out", type=Path, default=None,
                     help="directory for the per-suite JSON reports")
     ap.add_argument("--only", nargs="*", default=None,
                     help="subset of suite names to run")
     args = ap.parse_args()
 
-    if args.threads is not None:
-        os.environ["SL2ROTOR_THREADS"] = str(args.threads)
     cfg = RunConfig() if args.seed is None else RunConfig(seed=args.seed)
     names = args.only if args.only else sorted(SUITES)
     if args.out is not None:

@@ -8,7 +8,7 @@ unit-disc isometry model (disc), and seeded verification sweeps plus JSON
 artifacts behind the CLI (suites, serialize, cli).
 """
 
-from .config import RunConfig, thread_count
+from .config import RunConfig
 from .connections import (
     CylinderConnection,
     HolonomyMismatch,

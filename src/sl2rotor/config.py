@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 
@@ -31,13 +30,3 @@ class RunConfig:
 
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)
-
-
-def thread_count() -> int:
-    """Parallelism cap from SL2ROTOR_THREADS; defaults to 1."""
-    raw = os.environ.get("SL2ROTOR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

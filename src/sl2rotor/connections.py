@@ -29,6 +29,7 @@ from . import cover as cover_mod
 from .core import (
     GroupElement,
     LieElement,
+    TAU_CLASS,
     classify,
     cone_margins,
     mat_inv,
@@ -129,6 +130,43 @@ def _geodesic_refine(nodes: np.ndarray, k: int) -> np.ndarray:
     fill = np.einsum("nab,ntbc->ntac", nodes[:-1],
                      sl2_exp(taus[None, :, None, None] * logs[:, None]))
     return np.concatenate([fill.reshape(-1, 2, 2), nodes[-1:]])
+
+
+def _interp_rows(rows: np.ndarray, t: np.ndarray, periodic: bool,
+                 group: bool = False) -> np.ndarray:
+    """Sample row i of an (Ns, M, 2, 2) grid at the times t[i, k].
+
+    Linear interpolation between the nodes j/M with wrap-around (periodic)
+    or j/(M-1) with the index clamped to the row (square); returns
+    (Ns, K, 2, 2).  group marks rows of SL(2) matrices (frames, gauge
+    maps): a neighbour pointing away from its partner is negated before
+    the blend, since both signs are one element of PSL(2,R).
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("sample times must be finite")
+    m = rows.shape[1]
+    n = m if periodic else m - 1
+    # connection rows divide by the node spacing, group rows multiply by
+    # the node count; the two round apart when n is not a power of two,
+    # and each keeps the rounding its samplers have always used
+    x = t * n if group else t / (1.0 / n)
+    j = np.floor(x)
+    frac = x - j
+    if periodic:  # wrapped while still float, so no index overflows
+        j0, j1 = j % m, (j + 1) % m
+    else:
+        j0 = np.clip(j, 0, m - 1)
+        j1 = np.minimum(j0 + 1, m - 1)
+    i = np.arange(len(rows))[:, None]
+    a, b = rows[i, j0.astype(np.intp)], rows[i, j1.astype(np.intp)]
+    if group:
+        dot = (a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 0, 1]
+               + a[..., 1, 0] * b[..., 1, 0] + a[..., 1, 1] * b[..., 1, 1])
+        b[dot < 0] *= -1.0
+    a *= (1.0 - frac)[..., None, None]
+    b *= frac[..., None, None]
+    a += b
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +348,6 @@ class CylinderConnection:
             mid = 0.5 * (a[:-1] + a[1:])
         return mid * self.dt
 
-    def _sample_row(self, i: int, t: float) -> np.ndarray:
-        # linear interpolation of A(s_i, .) at t, periodic wrap if a cylinder
-        x = t / self.dt
-        j = int(np.floor(x))
-        frac = x - j
-        a = self.grid[i]
-        if self.periodic:
-            j0, j1 = j % self.mt, (j + 1) % self.mt
-        else:
-            j0 = min(max(j, 0), self.mt - 1)
-            j1 = min(j0 + 1, self.mt - 1)
-        return (1.0 - frac) * a[j0] + frac * a[j1]
-
     def transport_t(self, i: int, t: float) -> GroupElement:
         """Ordered exponential of row i from 0 to t, midpoint rule."""
         if not 0.0 <= t <= 1.0 + 1e-12:
@@ -333,9 +358,10 @@ class CylinderConnection:
         pi = _left_products(logs)[-1] if full else np.eye(2)
         rem = t - full * self.dt
         if rem > 1e-15:
-            mid = 0.5 * (self._sample_row(i, full * self.dt)
-                         + self._sample_row(i, t))
-            pi = sl2_exp(rem * mid) @ pi
+            ends = _interp_rows(self.grid[i][None],
+                                np.array([[full * self.dt, t]]),
+                                self.periodic)[0]
+            pi = sl2_exp(rem * (0.5 * (ends[0] + ends[1]))) @ pi
         return GroupElement(pi)
 
     def holonomy_loop(self, i: int) -> GroupElement:
@@ -445,7 +471,10 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
 def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
     # central t-derivative along axis 0
     if periodic:
-        return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * dt)
+        out = np.roll(vals, -1, axis=0)
+        out -= np.roll(vals, 1, axis=0)
+        out /= 2 * dt
+        return out
     out = np.empty_like(vals)
     out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
     out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
@@ -486,12 +515,11 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
     exact integer.
     """
     phi = np.asarray(phi, dtype=float)
-    ns = phi.shape[0]
     if tau is None:
         nodes = phi[:, 0]
     else:
-        nodes = np.stack([_interp_row(phi[i], float(tau[i]), True)
-                          for i in range(ns)])
+        nodes = _interp_rows(phi, np.asarray(tau, dtype=float)[:, None],
+                             True, group=True)[:, 0]
         det = nodes[:, 0, 0] * nodes[:, 1, 1] - nodes[:, 0, 1] * nodes[:, 1, 0]
         nodes = nodes / np.sqrt(det)[:, None, None]
     loop = nodes @ mat_inv(nodes[0])[None]
@@ -500,35 +528,20 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
     return int(round(cover_mod.rot_along(_geodesic_refine(loop, 4))))
 
 
-def _interp_row(row: np.ndarray, t: float, periodic: bool) -> np.ndarray:
-    m = len(row)
-    x = t * (m if periodic else m - 1)
-    j = int(np.floor(x))
-    frac = x - j
-    if periodic:
-        j0, j1 = j % m, (j + 1) % m
-    else:
-        j0 = min(max(j, 0), m - 1)
-        j1 = min(j0 + 1, m - 1)
-    a, b = row[j0], row[j1]
-    if np.sum(a * b) < 0:  # sign-aligned blend for group-valued rows
-        b = -b
-    return (1.0 - frac) * a + frac * b
-
-
 # ---------------------------------------------------------------------------
 # transports across the cylinder
 
 
 def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
-          integer: bool = True) -> float:
+          integer: bool = True, tol: float = TAU_CLASS) -> float:
     """Rotation number of the transport along the crossing path c.
 
     c(u) = (u, tau(u)) with tau given at the s-nodes (scalar input means
     the straight ramp 0 -> tau, None the straight line t = 0).  Transport
     picks up A dt along c; the recorded frame, if any, corrects the nodes
     back to the underlying geometric connection.  In integer mode the
-    transported element must be hyperbolic or the identity.
+    transported element must be hyperbolic or the identity, classified
+    with the band half-width tol.
     """
     ns = conn.ns
     if tau is None:
@@ -540,16 +553,14 @@ def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
         if tau.shape != (ns,):
             raise ValueError(f"tau must have one value per s node ({ns})")
 
-    samples = np.stack([conn._sample_row(i, tau[i] % 1.0 if conn.periodic
-                                         else tau[i]) for i in range(ns)])
+    t = (tau % 1.0 if conn.periodic else tau)[:, None]
+    samples = _interp_rows(conn.grid, t, conn.periodic)[:, 0]
     dtau = np.diff(tau)
     logs = 0.5 * (samples[:-1] + samples[1:]) * dtau[:, None, None]
     prods = _left_products(logs)
 
     if conn.s_frame is not None:
-        frames = np.stack([_interp_row(conn.s_frame[i],
-                                       tau[i] % 1.0 if conn.periodic else tau[i],
-                                       conn.periodic) for i in range(ns)])
+        frames = _interp_rows(conn.s_frame, t, conn.periodic, group=True)[:, 0]
         det = (frames[:, 0, 0] * frames[:, 1, 1]
                - frames[:, 0, 1] * frames[:, 1, 0])
         frames = frames / np.sqrt(det)[:, None, None]
@@ -558,7 +569,7 @@ def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
     value = cover_mod.rot_along(_geodesic_refine(prods, 4))
     if not integer:
         return value
-    end_class = classify(GroupElement(prods[-1]))
+    end_class = classify(GroupElement(prods[-1]), tol)
     if end_class.kind not in ("hyperbolic", "identity"):
         raise NonHyperbolicBoundary(
             f"crossing transport classifies as {end_class}")
@@ -578,40 +589,43 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     """
     if not conn.periodic:
         raise ValueError("the twist lives on the cylinder")
-    ns, mt = conn.ns, conn.mt
+    ns = conn.ns
     svals = np.linspace(0.0, 1.0, ns)
     beta = smoothstep(svals)
     u = np.clip((svals - 0.25) * 2.0, 0.0, 1.0)
     dbeta = 60.0 * u ** 2 * (1.0 - u) ** 2  # exact beta'
+    t_tw = (conn.t_nodes[None, :] - beta[:, None]) % 1.0
+    a_tw = _interp_rows(conn.grid, t_tw, True)
 
-    t = conn.t_nodes
-    a_tw = np.empty_like(conn.grid)
-    for i in range(ns):
-        a_tw[i] = np.stack([conn._sample_row(i, float((tj - beta[i]) % 1.0))
-                            for tj in t])
-    a_s = -dbeta[:, None, None, None] * a_tw
-
-    # re-trivialize: dPsi/ds = -Psi A_s, Psi(0, .) = 1, midpoint rule
+    # re-trivialize: dPsi/ds = -Psi A_s with A_s = -beta' A(s, t - beta),
+    # Psi(0, .) = 1, midpoint rule, every step exponential in one call
+    steps = a_tw[:-1] * -dbeta[:-1, None, None, None]
+    steps += a_tw[1:] * -dbeta[1:, None, None, None]
+    steps *= -0.5 * conn.ds
+    steps = sl2_exp(steps)
     psi = np.empty_like(conn.grid)
     psi[0] = np.eye(2)
     for i in range(ns - 1):
-        mid = 0.5 * (a_s[i] + a_s[i + 1])
-        psi[i + 1] = psi[i] @ sl2_exp(-conn.ds * mid)
-    dpsi = np.stack([_dt_of_grid(psi[i], conn.dt, True) for i in range(ns)])
-    inv_psi = mat_inv(psi)
-    new_grid = psi @ a_tw @ inv_psi + dpsi @ inv_psi
-    tr = new_grid[..., 0, 0] + new_grid[..., 1, 1]
-    new_grid = new_grid - 0.5 * tr[..., None, None] * np.eye(2)
+        np.matmul(psi[i], steps[i], out=psi[i + 1])
+    del steps
 
+    # psi A psi^-1 + (dpsi/dt) psi^-1, each full-grid temporary freed early
+    inv_psi = mat_inv(psi)
+    new_grid = psi @ a_tw
+    del a_tw
+    new_grid = new_grid @ inv_psi
+    dpsi = _dt_of_grid(psi.swapaxes(0, 1), conn.dt, True).swapaxes(0, 1)
+    new_grid += dpsi @ inv_psi
+    del dpsi, inv_psi
+    tr = new_grid[..., 0, 0] + new_grid[..., 1, 1]
+    new_grid -= 0.5 * tr[..., None, None] * np.eye(2)
+
+    # the old frame at the twisted times, composed after psi; without a
+    # recorded frame (the identity) the new frame is psi itself
     if conn.s_frame is None:
-        old_at_tw = np.broadcast_to(np.eye(2), conn.grid.shape).copy()
+        new_frame = psi
     else:
-        old_at_tw = np.empty_like(conn.grid)
-        for i in range(ns):
-            old_at_tw[i] = np.stack([
-                _interp_row(conn.s_frame[i], float((tj - beta[i]) % 1.0), True)
-                for tj in t])
-    new_frame = psi @ old_at_tw
+        new_frame = psi @ _interp_rows(conn.s_frame, t_tw, True, group=True)
     return CylinderConnection(new_grid, periodic=True, s_frame=new_frame)
 
 

@@ -9,15 +9,13 @@ so identical configs give byte-identical JSON.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import connections as cx
 from . import cover
 from . import disc as dsc
 from . import paths as pth
-from .config import RunConfig, thread_count
+from .config import RunConfig
 from .core import (
     GroupElement,
     LieElement,
@@ -67,30 +65,14 @@ def _report(name: str, cfg: RunConfig, cases: int, fail_idx: list[int],
 
 
 def _sweep(case_fn, cases: int):
-    """Run case_fn(i) -> (ok, slack) over all indexes, threaded if allowed."""
-    threads = thread_count()
+    """Run case_fn(i) -> (ok, slack) over all indexes in order."""
     fails: list[int] = []
     worst = np.inf
-
-    def run_range(lo, hi):
-        f, w = [], np.inf
-        for i in range(lo, hi):
-            ok, slack = case_fn(i)
-            if not ok:
-                f.append(i)
-            w = min(w, slack)
-        return f, w
-
-    if threads <= 1 or cases < 64:
-        fails, worst = run_range(0, cases)
-    else:
-        bounds = np.linspace(0, cases, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda ab: run_range(*ab),
-                                zip(bounds[:-1], bounds[1:])))
-        for f, w in parts:
-            fails.extend(f)
-            worst = min(worst, w)
+    for i in range(cases):
+        ok, slack = case_fn(i)
+        if not ok:
+            fails.append(i)
+        worst = min(worst, slack)
     return fails, float(worst)
 
 
@@ -185,7 +167,8 @@ def suite_krein(cfg: RunConfig) -> dict:
         if incr.sum() > 0:
             theta = th0 + (theta - th0) * (total / incr.sum())
         p = pth.elliptic_itinerary_path(theta, n=cfg.n)
-        rec = np.array([classify(GroupElement(m)).value for m in p.nodes])
+        rec = np.array([classify(GroupElement(m), cfg.tau_class).value
+                        for m in p.nodes])
         track = track_tol - np.abs(rec - theta).max()
         mono = float(np.diff(rec).min()) + mono_tol
         marg = float(p.margins().min()) + cfg.margin
@@ -210,7 +193,8 @@ def suite_krein(cfg: RunConfig) -> dict:
                else lam1 - (lam1 - lam0) * ramp)
         p = pth.hyperbolic_itinerary_path(
             lam, direction=1 if i % 4 < 2 else -1, n=cfg.n)
-        rec = np.array([classify(GroupElement(m)).value for m in p.nodes])
+        rec = np.array([classify(GroupElement(m), cfg.tau_class).value
+                        for m in p.nodes])
         track = track_tol - np.abs(rec - lam).max()
         marg = float(p.margins().min()) + cfg.margin
         worst_track = min(worst_track, track)
@@ -239,7 +223,7 @@ def suite_three_classes(cfg: RunConfig) -> dict:
         for l1 in lams:
             for l2 in lams:
                 tr = pth.three_classes_triple(l0, l1, l2, branch=-1)
-                spec = classify(tr.g1 @ tr.g2)
+                spec = classify(tr.g1 @ tr.g2, cfg.tau_class)
                 dev = (abs(spec.value - l0)
                        if spec.kind == "hyperbolic" else np.inf)
                 worst_class = min(worst_class, 1e-9 - dev)
@@ -358,7 +342,7 @@ def suite_cylinder_constructor(cfg: RunConfig) -> dict:
                              np.stack([np.sin(ang), np.cos(ang)], -1)], -2)
             a0 = cx.LoopConnection(np.einsum("tab,bc,tdc->tad", rots, xi, rots))
             h = a0.holonomy()
-            lam_h = classify(h).value
+            lam_h = classify(h, cfg.tau_class).value
             lams = np.linspace(lam_h, 1.0 + 0.6 * (lam_h - 1.0), cfg.ns)
             p = pth.hyperbolic_itinerary_path(
                 lams, g0=h.inv(), n=cfg.ns - 1).inverted()
@@ -434,7 +418,8 @@ def suite_gauge(cfg: RunConfig) -> dict:
         k = int(rng.integers(0, r + 1))
         tau = k / r + float(rng.integers(-1, 2))
         expected = cx.gauge_crossing_class(phi, np.linspace(0, tau, conn.ns))
-        shift = cx.rot_c(gauged, tau) - cx.rot_c(conn, tau)
+        shift = (cx.rot_c(gauged, tau, tol=cfg.tau_class)
+                 - cx.rot_c(conn, tau, tol=cfg.tau_class))
         if shift != float(expected) or expected != n:
             fails.append(i)
     checks = {"shift": _check("gauge rot_c shift mismatches", float(len(fails)),
@@ -450,10 +435,10 @@ def suite_dehn_twist(cfg: RunConfig) -> dict:
         gam = np.diag([0.12, -0.12])
         base = cx.cover(cx.winding_loop(1, gam, 192), r)
         conn = cx.pullback_flat(base, 96)
-        before = cx.rot_c(conn, 1.0 / r)  # one sheet across
+        before = cx.rot_c(conn, 1.0 / r, tol=cfg.tau_class)  # one sheet
         tw = cx.dehn_twist(conn)
-        after = cx.rot_c(tw, 1.0 / r)
-        twice = cx.rot_c(cx.dehn_twist(tw), 1.0 / r)
+        after = cx.rot_c(tw, 1.0 / r, tol=cfg.tau_class)
+        twice = cx.rot_c(cx.dehn_twist(tw), 1.0 / r, tol=cfg.tau_class)
         rb_dev = abs(tw.rot_boundary() - conn.rot_boundary())
         dev = max(abs(after - (before - r)), abs(twice - (before - 2 * r)),
                   rb_dev)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sl2rotor import connections as cx
+from sl2rotor import connections as cx, core, suites
 from sl2rotor.config import RunConfig
 from sl2rotor.serialize import loop_to_obj
 from sl2rotor.suites import SUITES, UnknownSuite, run_suite, verify_artifact
@@ -29,15 +29,6 @@ def test_reports_are_deterministic():
     assert a == b
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
-    cfg = RunConfig()
-    monkeypatch.delenv("SL2ROTOR_THREADS", raising=False)
-    serial = json.dumps(run_suite("quasimorphism", cfg), sort_keys=True)
-    monkeypatch.setenv("SL2ROTOR_THREADS", "3")
-    threaded = json.dumps(run_suite("quasimorphism", cfg), sort_keys=True)
-    assert serial == threaded
-
-
 def test_report_shape():
     rep = run_suite("three-classes", RunConfig(seed=5))
     assert rep["suite"] == "three-classes"
@@ -57,3 +48,19 @@ def test_verify_artifact_claims():
     rep = verify_artifact(bad)
     assert rep["passed"] is False
     assert not rep["checks"]["rot"]["satisfied"]
+
+
+@pytest.mark.parametrize("name", ["krein", "three-classes",
+                                  "cylinder-constructor", "gauge",
+                                  "dehn-twist"])
+def test_tau_class_reaches_every_classify(monkeypatch, name):
+    seen = []
+
+    def spy(g, tol=core.TAU_CLASS):
+        seen.append(tol)
+        return core.classify(g, tol)
+
+    monkeypatch.setattr(suites, "classify", spy)
+    monkeypatch.setattr(cx, "classify", spy)
+    run_suite(name, RunConfig(tau_class=1e-7))
+    assert seen and set(seen) == {1e-7}
