@@ -1,7 +1,10 @@
 """Run every verification suite and print a one-line summary per suite.
 
-Writes the full JSON reports into --out when given.  Exit status is the
-number of failing suites, capped at 99 so it survives shells that
+Writes the full JSON reports into --out when given.  With --compare DIR,
+each report is compared byte for byte with DIR/<suite>.json (as written
+by --out or by `sl2rotor verify <suite> --out`) and every suite that
+differs is named.  Exit status is the number of failing suites plus the
+number of differing ones, capped at 99 so it survives shells that
 truncate codes.
 """
 
@@ -22,6 +25,8 @@ def main() -> int:
                     help="directory for the per-suite JSON reports")
     ap.add_argument("--only", nargs="*", default=None,
                     help="subset of suite names to run")
+    ap.add_argument("--compare", type=Path, default=None, metavar="DIR",
+                    help="directory of reference reports to compare with")
     args = ap.parse_args()
 
     cfg = RunConfig() if args.seed is None else RunConfig(seed=args.seed)
@@ -30,6 +35,7 @@ def main() -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     failed = 0
+    differ = []
     width = max(len(n) for n in names)
     for name in names:
         t0 = time.perf_counter()
@@ -46,11 +52,21 @@ def main() -> int:
                 if not c["satisfied"]:
                     print(f"    {key}: {c['quantity']} = {c['value']:.6g} "
                           f"vs bound {c['bound']:.6g}")
+        text = json.dumps(rep, sort_keys=True, indent=1) + "\n"
         if args.out is not None:
-            with open(args.out / f"{name}.json", "w") as fh:
-                json.dump(rep, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-    return min(failed, 99)
+            (args.out / f"{name}.json").write_text(text)
+        if args.compare is not None:
+            ref = args.compare / f"{name}.json"
+            if not ref.is_file():
+                print(f"    differs: no reference report {ref}")
+                differ.append(name)
+            elif ref.read_text() != text:
+                print(f"    differs from {ref}")
+                differ.append(name)
+    if args.compare is not None:
+        print(f"{len(differ)} of {len(names)} reports differ from "
+              f"{args.compare}" + (f": {' '.join(differ)}" if differ else ""))
+    return min(failed + len(differ), 99)
 
 
 if __name__ == "__main__":

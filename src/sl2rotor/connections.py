@@ -34,12 +34,15 @@ from .core import (
     cone_margins,
     mat_inv,
     psl_dist,
+    rotation,
     sl2_exp,
-    sl2_log,
+    sub_identity,
 )
-from .paths import GroupPath
+from .paths import GroupPath, geodesic_refine
 
 DEFAULT_RES = 256
+# s-rows per step of the cylinder constructor's batched recursion
+_ROW_BLOCK = 32
 
 
 class NotNonpositive(ValueError):
@@ -121,17 +124,6 @@ def _lift_of_products(logs: np.ndarray) -> cover_mod.LiftedElement:
     return cover_mod.track_lift_along(fine)
 
 
-def _geodesic_refine(nodes: np.ndarray, k: int) -> np.ndarray:
-    if k <= 1:
-        return nodes
-    steps = mat_inv(nodes[:-1]) @ nodes[1:]
-    logs = sl2_log(steps)
-    taus = np.arange(k) / k
-    fill = np.einsum("nab,ntbc->ntac", nodes[:-1],
-                     sl2_exp(taus[None, :, None, None] * logs[:, None]))
-    return np.concatenate([fill.reshape(-1, 2, 2), nodes[-1:]])
-
-
 def _interp_rows(rows: np.ndarray, t: np.ndarray, periodic: bool,
                  group: bool = False) -> np.ndarray:
     """Sample row i of an (Ns, M, 2, 2) grid at the times t[i, k].
@@ -157,8 +149,11 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray, periodic: bool,
     else:
         j0 = np.clip(j, 0, m - 1)
         j1 = np.minimum(j0 + 1, m - 1)
-    i = np.arange(len(rows))[:, None]
-    a, b = rows[i, j0.astype(np.intp)], rows[i, j1.astype(np.intp)]
+    # gather on the flattened rows: row i, node j is entry i * m + j
+    base = np.arange(0, len(rows) * m, m)[:, None]
+    flat = rows.reshape(-1, 2, 2)
+    a = np.take(flat, base + j0.astype(np.intp), axis=0)
+    b = np.take(flat, base + j1.astype(np.intp), axis=0)
     if group:
         dot = (a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 0, 1]
                + a[..., 1, 0] * b[..., 1, 0] + a[..., 1, 1] * b[..., 1, 1])
@@ -183,10 +178,12 @@ class LoopConnection:
         a = np.asarray(self.samples, dtype=float)
         if a.ndim != 3 or a.shape[1:] != (2, 2) or len(a) < 4:
             raise ValueError(f"need an (M, 2, 2) sample array, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("samples must be finite")
         tr = a[:, 0, 0] + a[:, 1, 1]
         if np.abs(tr).max() > 1e-9:
             raise ValueError("samples must be traceless")
-        a = a - 0.5 * tr[:, None, None] * np.eye(2)
+        a = sub_identity(a, 0.5 * tr)
         a.setflags(write=False)
         object.__setattr__(self, "samples", a)
 
@@ -240,9 +237,7 @@ def winding_loop(r: int, gamma, m: int = DEFAULT_RES) -> LoopConnection:
     if np.linalg.norm(gamma) > 0.2:
         raise ValueError("|gamma| must stay below 0.2")
     t = np.arange(m) / m
-    ang = r * np.pi * t
-    c, s = np.cos(ang), np.sin(ang)
-    rots = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    rots = rotation(r * np.pi * t)
     base = np.einsum("tab,bc,tdc->tad", rots, gamma, rots)  # R gamma R^T
     base[:, 0, 1] -= r * np.pi
     base[:, 1, 0] += r * np.pi
@@ -280,16 +275,20 @@ class CylinderConnection:
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 4 or g.shape[2:] != (2, 2) or g.shape[0] < 2 or g.shape[1] < 4:
             raise ValueError(f"need an (Ns, Mt, 2, 2) grid, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("grid values must be finite")
         tr = g[..., 0, 0] + g[..., 1, 1]
         if np.abs(tr).max() > 1e-9:
             raise ValueError("grid values must be traceless")
-        g = g - 0.5 * tr[..., None, None] * np.eye(2)
+        g = sub_identity(g, 0.5 * tr)
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)
         if self.s_frame is not None:
             f = np.asarray(self.s_frame, dtype=float)
             if f.shape != g.shape:
                 raise ValueError("frame grid must match the connection grid")
+            if not np.isfinite(f).all():
+                raise ValueError("frame grid must be finite")
             f.setflags(write=False)
             object.__setattr__(self, "s_frame", f)
 
@@ -448,19 +447,32 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
         raise HolonomyMismatch(
             f"a0 holonomy is {psl_dist(hol0, path.nodes[0]):.3g} from g(0)")
 
-    w = bump_weight(t_nodes)
-    big_w = bump_cumulative(t_nodes)
+    w = bump_weight(t_nodes)[:, None, None]
+    big_w = bump_cumulative(t_nodes)[:, None, None]
     n = path.n_steps
     h = path.h
+    # row i + 1 holds the increment h half (w gamma_i) half^-1 until the
+    # final running sum; the s-rows go through in blocks, so every block
+    # takes its step exponentials in one call and the temporaries stay
+    # a block deep
     grid = np.empty((n + 1, len(t_nodes), 2, 2))
     grid[0] = a_start
-    pi = np.array(p_start, dtype=float)
-    for i in range(n):
-        xi = big_w[:, None, None] * gammas[i]
-        half = pi @ sl2_exp(0.5 * h * xi)
-        grid[i + 1] = grid[i] + h * (
-            half @ (w[:, None, None] * gammas[i]) @ mat_inv(half))
-        pi = pi @ sl2_exp(h * xi)
+    pis = np.empty((_ROW_BLOCK + 1,) + grid.shape[1:])
+    pis[0] = p_start
+    for lo in range(0, n, _ROW_BLOCK):
+        blk = gammas[lo:lo + _ROW_BLOCK, None]
+        k = len(blk)
+        xi = big_w * blk
+        steps = sl2_exp(h * xi)
+        half = sl2_exp(0.5 * h * xi)
+        for i in range(k):
+            np.matmul(pis[i], steps[i], out=pis[i + 1])
+        half = pis[:k] @ half
+        rows = grid[lo + 1:lo + 1 + k]
+        np.matmul(half @ (w * blk), mat_inv(half), out=rows)
+        rows *= h
+        pis[0] = pis[k]
+    np.add.accumulate(grid, axis=0, out=grid)
     return CylinderConnection(grid, periodic=periodic)
 
 
@@ -499,10 +511,10 @@ def gauge(conn: CylinderConnection, phi: np.ndarray) -> CylinderConnection:
     inv0 = mat_inv(phi0)
     new_grid = phi0 @ conn.grid @ inv0 + (dphi0 @ inv0)[None]
     tr = new_grid[..., 0, 0] + new_grid[..., 1, 1]
-    new_grid = new_grid - 0.5 * tr[..., None, None] * np.eye(2)
-    old_frame = conn.s_frame if conn.s_frame is not None else np.broadcast_to(
-        np.eye(2), conn.grid.shape)
-    new_frame = phi0[None] @ old_frame @ mat_inv(phi)
+    sub_identity(new_grid, 0.5 * tr, out=new_grid)
+    # without a recorded frame (the identity) this is phi0 phi^-1
+    lead = phi0 if conn.s_frame is None else phi0 @ conn.s_frame
+    new_frame = lead @ mat_inv(phi)
     return CylinderConnection(new_grid, periodic=conn.periodic,
                               s_frame=new_frame)
 
@@ -525,7 +537,7 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
     loop = nodes @ mat_inv(nodes[0])[None]
     if psl_dist(loop[-1], np.eye(2)) > 1e-6:
         raise ValueError("gauge map does not stabilize the crossing endpoints")
-    return int(round(cover_mod.rot_along(_geodesic_refine(loop, 4))))
+    return int(round(cover_mod.rot_along(geodesic_refine(loop, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +578,7 @@ def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
         frames = frames / np.sqrt(det)[:, None, None]
         prods = mat_inv(frames) @ prods @ frames[0][None]
 
-    value = cover_mod.rot_along(_geodesic_refine(prods, 4))
+    value = cover_mod.rot_along(geodesic_refine(prods, 4))
     if not integer:
         return value
     end_class = classify(GroupElement(prods[-1]), tol)
@@ -618,7 +630,7 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     new_grid += dpsi @ inv_psi
     del dpsi, inv_psi
     tr = new_grid[..., 0, 0] + new_grid[..., 1, 1]
-    new_grid -= 0.5 * tr[..., None, None] * np.eye(2)
+    sub_identity(new_grid, 0.5 * tr, out=new_grid)
 
     # the old frame at the twisted times, composed after psi; without a
     # recorded frame (the identity) the new frame is psi itself

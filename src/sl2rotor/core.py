@@ -55,9 +55,14 @@ class DegenerateClassification(ArithmeticError):
     """Conjugacy-type test was numerically inconclusive."""
 
 
-def rotation(theta: float) -> np.ndarray:
+def rotation(theta) -> np.ndarray:
+    """Counterclockwise rotations by the angles theta, shape (..., 2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    out = np.empty(np.shape(theta) + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    return out
 
 
 def _check_unimodular(m: np.ndarray) -> np.ndarray:
@@ -327,12 +332,32 @@ def _cs_funcs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
+def sub_identity(x: np.ndarray, d, out: np.ndarray | None = None) -> np.ndarray:
+    """x - d 1 for a batch x (..., 2, 2) and scalars d (...); out may be x.
+
+    Writes the four entries without a broadcast identity; the off-diagonal
+    entries subtract d * 0, so signed zeros come out exactly as in
+    x - d[..., None, None] * IDENTITY.
+    """
+    if x.ndim == 2:  # one matrix: the identity term is just four entries
+        return np.subtract(x, d * IDENTITY, out=out)
+    if out is None:
+        out = np.empty(x.shape)
+    zero = d * 0.0
+    np.subtract(x[..., 0, 0], d, out[..., 0, 0])
+    np.subtract(x[..., 1, 1], d, out[..., 1, 1])
+    np.subtract(x[..., 0, 1], zero, out[..., 0, 1])
+    np.subtract(x[..., 1, 0], zero, out[..., 1, 0])
+    return out
+
+
 def sl2_exp(x: np.ndarray) -> np.ndarray:
     """Matrix exponential of traceless 2x2 input; x may be batched (...,2,2)."""
     x = np.asarray(x, dtype=float)
     q = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
     c, s = _cs_funcs(q)
-    return c[..., None, None] * IDENTITY + s[..., None, None] * x
+    out = s[..., None, None] * x
+    return sub_identity(out, -c, out=out)  # s x + c 1
 
 
 def _log_factor(t: np.ndarray) -> np.ndarray:
@@ -358,7 +383,8 @@ def sl2_log(m: np.ndarray) -> np.ndarray:
     t = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
     if np.any(t <= -1.0 + 1e-12):
         raise ValueError("principal log undefined at trace <= -2")
-    out = _log_factor(t)[..., None, None] * (m - t[..., None, None] * IDENTITY)
+    out = sub_identity(m, t)
+    out *= _log_factor(t)[..., None, None]
     # kill the rounding residue on the diagonal so results are exactly traceless
     half_tr = 0.5 * (out[..., 0, 0] + out[..., 1, 1])
     out[..., 0, 0] -= half_tr

@@ -91,12 +91,15 @@ class GroupPath:
     def node(self, i: int) -> GroupElement:
         return GroupElement(self.nodes[i])
 
-    def _log_steps(self, left: bool) -> np.ndarray:
+    def _steps(self, left: bool) -> np.ndarray:
         dm = (mat_inv(self.nodes[:-1]) @ self.nodes[1:] if left
               else self.nodes[1:] @ mat_inv(self.nodes[:-1]))
         if np.linalg.norm(dm - IDENTITY, axis=(1, 2)).max() >= 1.0:
             raise StepTooLarge("a step leaves the principal log chart")
-        return sl2_log(dm)
+        return dm
+
+    def _log_steps(self, left: bool) -> np.ndarray:
+        return sl2_log(self._steps(left))
 
     def left_cocycles(self) -> np.ndarray:
         """log(g_i^-1 g_{i+1}) / h: midpoint values of g^-1 g'."""
@@ -128,12 +131,20 @@ class GroupPath:
         """Geodesic subdivision: substeps - 1 extra nodes inside each step."""
         if substeps <= 1:
             return self
-        logs = self._log_steps(left=True)
-        taus = np.arange(substeps) / substeps
-        fill = np.einsum("nab,ntbc->ntac", self.nodes[:-1],
-                         sl2_exp(taus[None, :, None, None] * logs[:, None]))
-        fine = np.concatenate([fill.reshape(-1, 2, 2), self.nodes[-1:]])
-        return GroupPath(fine)
+        self._steps(left=True)  # every step inside the principal log chart
+        return GroupPath(geodesic_refine(self.nodes, substeps))
+
+
+def geodesic_refine(nodes: np.ndarray, k: int) -> np.ndarray:
+    """k - 1 extra nodes inside each step, on the one-parameter subgroup
+    through the principal log of nodes_i^-1 nodes_{i+1}."""
+    if k <= 1:
+        return nodes
+    logs = sl2_log(mat_inv(nodes[:-1]) @ nodes[1:])
+    taus = np.arange(k) / k
+    fill = np.einsum("nab,ntbc->ntac", nodes[:-1],
+                     sl2_exp(taus[None, :, None, None] * logs[:, None]))
+    return np.concatenate([fill.reshape(-1, 2, 2), nodes[-1:]])
 
 
 def derivative_cocycle(p: GroupPath, i: int) -> LieElement:
@@ -198,10 +209,7 @@ def make_positive(path: GroupPath, eta: float = 1e-3) -> GroupPath:
     Rotations act on cone coordinates by turning (delta, eps) and fixing
     alpha, so every right-cocycle margin goes up by exactly eta pi.
     """
-    ang = eta * np.pi * path.times
-    c, s = np.cos(ang), np.sin(ang)
-    rots = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-    return GroupPath(rots @ path.nodes)
+    return GroupPath(rotation(eta * np.pi * path.times) @ path.nodes)
 
 
 def _as_traceless(gamma) -> np.ndarray:
@@ -224,10 +232,7 @@ def spiral_path(r: int, gamma, n: int | None = None) -> GroupPath:
     if n is None:
         n = max(64, int(np.ceil(48 * (r + 1))))
     t = np.linspace(0.0, 1.0, n + 1)
-    ang = r * np.pi * t
-    c, s = np.cos(ang), np.sin(ang)
-    rots = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-    return GroupPath(rots @ sl2_exp(t[:, None, None] * gamma))
+    return GroupPath(rotation(r * np.pi * t) @ sl2_exp(t[:, None, None] * gamma))
 
 
 # ---------------------------------------------------------------------------

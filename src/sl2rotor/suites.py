@@ -338,8 +338,7 @@ def suite_cylinder_constructor(cfg: RunConfig) -> dict:
             ang = 0.1 * np.sin(2 * np.pi * np.arange(cfg.mt) / cfg.mt)
             lam0 = float(np.exp(rng.uniform(0.4, 0.7)))
             xi = sl2_log(np.diag([lam0, 1.0 / lam0]))
-            rots = np.stack([np.stack([np.cos(ang), -np.sin(ang)], -1),
-                             np.stack([np.sin(ang), np.cos(ang)], -1)], -2)
+            rots = rotation(ang)
             a0 = cx.LoopConnection(np.einsum("tab,bc,tdc->tad", rots, xi, rots))
             h = a0.holonomy()
             lam_h = classify(h, cfg.tau_class).value
@@ -393,13 +392,7 @@ def suite_milnor_wood(cfg: RunConfig) -> dict:
 
 def _gauge_grid(n: int, ns: int, mt: int) -> np.ndarray:
     eta = cx.smoothstep(np.linspace(0.0, 1.0, ns))
-    ang = n * np.pi * eta
-    phi = np.zeros((ns, mt, 2, 2))
-    phi[..., 0, 0] = np.cos(ang)[:, None]
-    phi[..., 1, 1] = np.cos(ang)[:, None]
-    phi[..., 0, 1] = -np.sin(ang)[:, None]
-    phi[..., 1, 0] = np.sin(ang)[:, None]
-    return phi
+    return np.repeat(rotation(n * np.pi * eta)[:, None], mt, axis=1)
 
 
 def suite_gauge(cfg: RunConfig) -> dict:

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from sl2rotor import connections as cx
 from sl2rotor.cli import entry
+from sl2rotor.serialize import cylinder_to_obj, loop_to_obj
 
 HYP = "[[2, 0], [0, 0.5]]"
 
@@ -150,6 +152,29 @@ def test_cover_build_claims(capsys, tmp_path):
                      "--out", str(f))
     assert code == 0
     assert json.loads(f.read_text())["claims"]["rot"] == 3.0
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "loop"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_payload(capsys, tmp_path, kind, bad):
+    loop = cx.winding_loop(1, [[0.1, 0.0], [0.0, -0.1]], 16)
+    if kind == "cylinder":
+        obj = cylinder_to_obj(cx.pullback_flat(loop, 16))
+        obj["claims"] = {"rot_boundary": 0.0}
+    else:
+        obj = loop_to_obj(loop)
+        obj["claims"] = {"rot": 1.0}
+    obj["data"][37] = bad
+    f = tmp_path / "art.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"ParseError: malformed {obj['kind']} artifact: "
+                 f"{'grid values' if kind == 'cylinder' else 'samples'} "
+                 "must be finite",
+        "passed": False}
+    assert "finite" in err
 
 
 def test_unknown_build_parameter(capsys, tmp_path):

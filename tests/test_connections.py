@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from sl2rotor import connections as cx
-from sl2rotor.core import GroupElement, mat_inv, psl_dist, sl2_exp, sl2_log
+from sl2rotor.core import (
+    GroupElement,
+    _cs_funcs,
+    mat_inv,
+    psl_dist,
+    rotation,
+    sl2_exp,
+    sl2_log,
+)
 from sl2rotor.paths import GroupPath, spiral_path
 
 GAMMA_H = np.diag([0.1, -0.1])
@@ -21,6 +29,24 @@ def exp_family(gamma, g0, n_steps=48, mt=128):
 def cone_gamma():
     # alpha = 0.15, inside the nonnegative cone with margin 0.15
     return np.array([[0.0, -0.15], [0.15, 0.0]])
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def exp_reference(x):
+    """sl2_exp assembled with a broadcast identity."""
+    q = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+    c, s = _cs_funcs(q)
+    return c[..., None, None] * np.eye(2) + s[..., None, None] * x
+
+
+def project_reference(a):
+    tr = a[..., 0, 0] + a[..., 1, 1]
+    return a - 0.5 * tr[..., None, None] * np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +69,24 @@ def test_constant_loop_is_rot_free():
     a = cx.constant_loop(GAMMA_H, 128)
     assert a.rot() == 0.0
     assert np.abs(a.holonomy().m - sl2_exp(GAMMA_H)).max() < 1e-12
+
+
+def test_connections_reject_non_finite_values():
+    base = cx.winding_loop(1, GAMMA_H, 16).samples
+    for bad in (np.nan, np.inf, -np.inf):
+        a = base.copy()
+        a[5, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cx.LoopConnection(a)
+        grid = np.broadcast_to(base, (4,) + base.shape).copy()
+        grid[2, 7, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cx.CylinderConnection(grid)
+        frame = np.broadcast_to(np.eye(2), grid.shape).copy()
+        frame[1, 3, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cx.CylinderConnection(np.broadcast_to(base, grid.shape),
+                                  s_frame=frame)
 
 
 def test_loop_from_function_matches_samples():
@@ -121,6 +165,55 @@ def test_constructor_refines_to_requested_ns():
         cx.from_nonpositive_path(p, a0, ns=50)  # 49 steps not a multiple of 24
 
 
+def constructor_reference(path, a0, ns=None, periodic=True):
+    """The cylinder constructor stepped one s-row at a time, with the
+    exponentials and the trace projection assembled from broadcast
+    identities."""
+    if ns is not None and ns != path.n_steps + 1:
+        path = path.refine((ns - 1) // path.n_steps)
+    gammas = path.left_cocycles()
+    if periodic:
+        a_start, p_start, t_nodes = a0.samples, a0.transports[:-1], a0.times
+    else:
+        a_start = np.asarray(a0, dtype=float)
+        mid = 0.5 * (a_start[:-1] + a_start[1:]) / (len(a_start) - 1)
+        p_start = cx._left_products(mid)
+        t_nodes = np.arange(len(a_start)) / (len(a_start) - 1)
+    w = cx.bump_weight(t_nodes)
+    big_w = cx.bump_cumulative(t_nodes)
+    h = path.h
+    grid = np.empty((path.n_steps + 1, len(t_nodes), 2, 2))
+    grid[0] = a_start
+    pi = np.array(p_start, dtype=float)
+    for i in range(path.n_steps):
+        xi = big_w[:, None, None] * gammas[i]
+        half = pi @ exp_reference(0.5 * h * xi)
+        grid[i + 1] = grid[i] + h * (
+            half @ (w[:, None, None] * gammas[i]) @ mat_inv(half))
+        pi = pi @ exp_reference(h * xi)
+    return project_reference(grid)
+
+
+# step counts below, at and one above the constructor's row block, and
+# one that is no multiple of it; the last two refine a 24-step path
+@pytest.mark.parametrize("n_steps,ns", [(31, None), (32, None), (33, None),
+                                        (45, None), (24, 73), (24, 97)])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("start", ["hyperbolic", "elliptic"])
+def test_constructor_matches_per_row_reference(n_steps, ns, periodic, start):
+    g0 = (GroupElement.diagonal(1.8) if start == "hyperbolic"
+          else GroupElement(rotation(1.1)))
+    p, a0 = exp_family(cone_gamma(), g0, n_steps=n_steps, mt=40)
+    samples = a0.samples.copy()
+    if start == "hyperbolic":  # log of a diagonal: zeros, here signed
+        samples[:, 0, 1] = samples[:, 1, 0] = -0.0
+    a0 = cx.LoopConnection(samples) if periodic else samples
+    got = cx.from_nonpositive_path(p, a0, ns=ns, periodic=periodic)
+    want = constructor_reference(p, a0, ns=ns, periodic=periodic)
+    assert got.ns == (n_steps + 1 if ns is None else ns)
+    assert_bits_equal(got.grid, want)
+
+
 # ---------------------------------------------------------------------------
 # gauge action
 
@@ -150,6 +243,28 @@ def test_gauge_shifts_rot_c_by_crossing_class():
         assert cx.rot_c(gauged, 1.0) - before == float(n)
 
 
+def gauge_reference(conn, phi):
+    """Gauge grid and frame, with a broadcast identity for no frame."""
+    phi0 = phi[0]
+    dphi0 = cx._dt_of_grid(phi0, conn.dt, conn.periodic)
+    inv0 = mat_inv(phi0)
+    grid = project_reference(phi0 @ conn.grid @ inv0 + (dphi0 @ inv0)[None])
+    old = conn.s_frame if conn.s_frame is not None else np.broadcast_to(
+        np.eye(2), conn.grid.shape)
+    return grid, phi0[None] @ old @ mat_inv(phi)
+
+
+@pytest.mark.parametrize("n", [-3, 2])
+def test_gauge_matches_broadcast_reference(n):
+    conn = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, 32), 2), 24)
+    phi = rotation_gauge(n, 24, 32)
+    for c in (conn, cx.dehn_twist(conn)):  # without and with a frame
+        got = cx.gauge(c, phi)
+        grid, frame = gauge_reference(c, phi)
+        assert_bits_equal(got.grid, grid)
+        assert_bits_equal(got.s_frame, frame)
+
+
 def test_gauge_preserves_curvature_margins():
     p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8))
     conn = cx.from_nonpositive_path(p, a0)
@@ -166,7 +281,7 @@ CROSSINGS = [(r, n, k, d) for r in (1, 2, 3)
              for k in range(r + 1) for d in (-1, 0, 1)]
 
 # the (r, n, k, d) above where the 16-node shift is wrong: the crossing
-# transport turns too far between nodes for _geodesic_refine(prods, 4).
+# transport turns too far between nodes for geodesic_refine(prods, 4).
 # Unfixed; see the FOUND line on rot_c at 16 nodes in CHANGES.md
 WRONG_AT_16 = {
     (1, -4, 0, -1), (1, 4, 0, 1), (1, 4, 1, 0), (1, 4, 1, 1),

@@ -21,8 +21,10 @@ from sl2rotor.core import (
     rotation,
     sl2_exp,
     sl2_log,
+    sub_identity,
     t_function,
 )
+from sl2rotor.core import _cs_funcs
 
 angles = st.floats(0.05, np.pi - 0.05)
 multipliers = st.floats(1.05, 8.0)
@@ -146,6 +148,66 @@ def test_sl2_exp_closed_forms():
     assert np.allclose(sl2_exp(d), np.diag([np.e ** u, np.e ** -u]))
     nil = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert np.allclose(sl2_exp(nil), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def signed_zero_batch():
+    # +-0 off the diagonal, negative and zero traces, tiny and huge entries
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(64, 2, 2))
+    x[:16, 0, 1] = 0.0
+    x[4:12, 0, 1] = -0.0
+    x[8:24, 1, 0] = -0.0
+    x[24:32] = [[-0.0, -0.0], [-0.0, -0.0]]
+    x[32:40] *= 1e-9
+    x[40:44] *= 20.0
+    d = rng.normal(size=64)
+    d[:12] = -np.abs(d[:12])
+    d[12:20] = 0.0
+    d[20:28] = -0.0
+    return x, d
+
+
+def test_sub_identity_matches_broadcast_identity():
+    x, d = signed_zero_batch()
+    want = x - d[..., None, None] * np.eye(2)
+    assert_bits_equal(sub_identity(x, d), want)
+    # in place, on a batch with two leading axes, and for one matrix
+    y = x.reshape(8, 8, 2, 2).copy()
+    assert sub_identity(y, d.reshape(8, 8), out=y) is y
+    assert_bits_equal(y, want.reshape(8, 8, 2, 2))
+    assert_bits_equal(sub_identity(x[3], d[3]), want[3])
+    # the trace projection the connection constructors make
+    tr = x[..., 0, 0] + x[..., 1, 1]
+    assert_bits_equal(sub_identity(x, 0.5 * tr),
+                      x - 0.5 * tr[..., None, None] * np.eye(2))
+
+
+def test_sl2_exp_matches_broadcast_assembly():
+    x, _ = signed_zero_batch()
+    x[..., 1, 1] = -x[..., 0, 0]
+    for scale in (1.0, 4.0, 1e-5):  # both branches of C and S, and the series
+        xs = scale * x
+        q = xs[..., 0, 0] * xs[..., 1, 1] - xs[..., 0, 1] * xs[..., 1, 0]
+        c, s = _cs_funcs(q)
+        want = c[..., None, None] * np.eye(2) + s[..., None, None] * xs
+        assert_bits_equal(sl2_exp(xs), want)
+        assert_bits_equal(sl2_exp(xs[5]), want[5])
+
+
+def test_rotation_stacks_match_single_angles():
+    th = np.linspace(-7.0, 7.0, 29).reshape(29, 1) + np.array([0.0, -0.0, 1e-9])
+    stack = rotation(th)
+    assert stack.shape == (29, 3, 2, 2)
+    for idx in np.ndindex(th.shape):
+        c, s = np.cos(th[idx]), np.sin(th[idx])
+        assert_bits_equal(stack[idx], np.array([[c, -s], [s, c]]))
+    assert rotation(0.3).shape == (2, 2)
 
 
 @settings(max_examples=80, deadline=None)

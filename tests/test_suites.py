@@ -64,3 +64,27 @@ def test_tau_class_reaches_every_classify(monkeypatch, name):
     monkeypatch.setattr(cx, "classify", spy)
     run_suite(name, RunConfig(tau_class=1e-7))
     assert seen and set(seen) == {1e-7}
+
+
+def test_run_all_suites_compare(tmp_path, monkeypatch, capsys):
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_suites.py"
+    main = runpy.run_path(str(script))["main"]
+
+    def run(*argv):
+        monkeypatch.setattr("sys.argv", ["run_all_suites.py", *argv])
+        code = main()
+        return code, capsys.readouterr().out
+
+    only = ["--only", "two-elliptic", "three-classes"]
+    assert run(*only, "--out", str(tmp_path))[0] == 0
+    code, out = run(*only, "--compare", str(tmp_path))
+    assert code == 0 and "0 of 2 reports differ" in out
+    ref = tmp_path / "three-classes.json"
+    ref.write_text(ref.read_text().replace('"passed": true', '"passed": false'))
+    (tmp_path / "two-elliptic.json").unlink()
+    code, out = run(*only, "--compare", str(tmp_path))
+    assert code == 2
+    assert "2 of 2 reports differ" in out and "two-elliptic three-classes" in out
