@@ -53,8 +53,10 @@ from .cover import (
     compose,
     deck,
     lift_of,
+    lift_of_products,
     one_param_lift,
     rot,
+    rot_along,
     rot_iterative,
     sl2_rep,
     track_lift_along,
@@ -88,7 +90,6 @@ from .paths import (
     hyperbolic_itinerary_path,
     is_nonnegative,
     make_positive,
-    rot_along,
     spiral_path,
     three_classes_triple,
     two_elliptic_trace,

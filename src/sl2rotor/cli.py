@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import connections as cx
+from . import cover
 from . import paths as pth
 from .config import RunConfig
 from .core import (
@@ -155,7 +156,7 @@ def _gamma_from(value) -> np.ndarray:
 
 
 def _path_claims(p: pth.GroupPath, nonpos: bool) -> dict:
-    _, gain = pth.rot_along(p)
+    _, gain = cover.rot_along(p.nodes)
     side = "nonpos" if nonpos else "nonneg"
     return {side: True, "rot_gain": gain}
 

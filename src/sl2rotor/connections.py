@@ -94,34 +94,7 @@ def smoothstep(s) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# lift tracking along ordered-exponential products
-
-
-def _left_products(logs: np.ndarray) -> np.ndarray:
-    # partial products P_{j+1} = exp(logs_j) P_j, P_0 = 1
-    n = len(logs)
-    out = np.empty((n + 1, 2, 2))
-    out[0] = np.eye(2)
-    factors = sl2_exp(logs)
-    for j in range(n):
-        out[j + 1] = factors[j] @ out[j]
-    return out
-
-
-def _lift_of_products(logs: np.ndarray) -> cover_mod.LiftedElement:
-    # lift of the full ordered product, tracked continuously from identity;
-    # each factor is subdivided so direction angles never jump by pi/2
-    prods = _left_products(logs)
-    norms = np.linalg.norm(logs, axis=(1, 2))
-    sub = max(1, int(np.ceil(norms.max() / 0.1))) if len(norms) else 1
-    if sub == 1:
-        return cover_mod.track_lift_along(prods)
-    taus = np.arange(sub) / sub
-    fine = np.einsum("ntab,nbc->ntac",
-                     sl2_exp(taus[None, :, None, None] * logs[:, None]),
-                     prods[:-1])
-    fine = np.concatenate([fine.reshape(-1, 2, 2), prods[-1:]])
-    return cover_mod.track_lift_along(fine)
+# sampling and differentiating grids
 
 
 def _interp_rows(rows: np.ndarray, t: np.ndarray, periodic: bool,
@@ -164,6 +137,21 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray, periodic: bool,
     return a
 
 
+def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
+    # central derivative along axis 0 at node spacing dt, 2nd-order
+    # one-sided at the ends of a non-periodic axis
+    if periodic:
+        out = np.roll(vals, -1, axis=0)
+        out -= np.roll(vals, 1, axis=0)
+        out /= 2 * dt
+        return out
+    out = np.empty_like(vals)
+    out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
+    out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
+    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # loops
 
@@ -203,14 +191,14 @@ class LoopConnection:
     @cached_property
     def transports(self) -> np.ndarray:
         """Partial transports Pi(t_j), j = 0..M, with Pi(0) = 1."""
-        return _left_products(self._step_logs())
+        return cover_mod.left_products(sl2_exp(self._step_logs()))
 
     def holonomy(self) -> GroupElement:
         return GroupElement(self.transports[-1])
 
     @cached_property
     def lifted_holonomy(self) -> cover_mod.LiftedElement:
-        return _lift_of_products(self._step_logs())
+        return cover_mod.lift_of_products(self._step_logs())
 
     def rot(self) -> float:
         return cover_mod.rot(self.lifted_holonomy)
@@ -273,8 +261,9 @@ class CylinderConnection:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 4 or g.shape[2:] != (2, 2) or g.shape[0] < 2 or g.shape[1] < 4:
-            raise ValueError(f"need an (Ns, Mt, 2, 2) grid, got {g.shape}")
+        if g.ndim != 4 or g.shape[2:] != (2, 2) or g.shape[0] < 3 or g.shape[1] < 4:
+            raise ValueError(f"need an (Ns, Mt, 2, 2) grid with Ns >= 3 and "
+                             f"Mt >= 4, got {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("grid values must be finite")
         tr = g[..., 0, 0] + g[..., 1, 1]
@@ -317,13 +306,7 @@ class CylinderConnection:
     @cached_property
     def curvature_grid(self) -> np.ndarray:
         """-dA/ds: central differences inside, 2nd-order one-sided at ends."""
-        a = self.grid
-        ds = self.ds
-        out = np.empty_like(a)
-        out[1:-1] = -(a[2:] - a[:-2]) / (2.0 * ds)
-        out[0] = -(-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * ds)
-        out[-1] = -(3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * ds)
-        return out
+        return -_dt_of_grid(self.grid, self.ds, False)
 
     def curvature(self, i: int, j: int) -> LieElement:
         return LieElement(self.curvature_grid[i, j])
@@ -347,27 +330,12 @@ class CylinderConnection:
             mid = 0.5 * (a[:-1] + a[1:])
         return mid * self.dt
 
-    def transport_t(self, i: int, t: float) -> GroupElement:
-        """Ordered exponential of row i from 0 to t, midpoint rule."""
-        if not 0.0 <= t <= 1.0 + 1e-12:
-            raise ValueError("t must lie in [0, 1]")
-        x = t / self.dt
-        full = int(np.floor(x + 1e-12))
-        logs = self._row_step_logs(i)[:full]
-        pi = _left_products(logs)[-1] if full else np.eye(2)
-        rem = t - full * self.dt
-        if rem > 1e-15:
-            ends = _interp_rows(self.grid[i][None],
-                                np.array([[full * self.dt, t]]),
-                                self.periodic)[0]
-            pi = sl2_exp(rem * (0.5 * (ends[0] + ends[1]))) @ pi
-        return GroupElement(pi)
-
     def holonomy_loop(self, i: int) -> GroupElement:
-        return GroupElement(_left_products(self._row_step_logs(i))[-1])
+        return GroupElement(
+            cover_mod.left_products(sl2_exp(self._row_step_logs(i)))[-1])
 
     def lifted_holonomy_loop(self, i: int) -> cover_mod.LiftedElement:
-        return _lift_of_products(self._row_step_logs(i))
+        return cover_mod.lift_of_products(self._row_step_logs(i))
 
     def boundary_loop(self, end: int) -> LoopConnection:
         if not self.periodic:
@@ -440,7 +408,8 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
         if mt is not None and mt != len(a_start):
             raise ValueError(f"mt = {mt} but a0 has {len(a_start)} samples")
         mid = 0.5 * (a_start[:-1] + a_start[1:]) / (len(a_start) - 1)
-        trans = _left_products(mid)  # one entry per t node, last is t = 1
+        # one entry per t node, last is t = 1
+        trans = cover_mod.left_products(sl2_exp(mid))
         p_start, hol0 = trans, trans[-1]
         t_nodes = np.arange(len(a_start)) / (len(a_start) - 1)
     if psl_dist(hol0, path.nodes[0]) > 1e-6:
@@ -478,20 +447,6 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
 
 # ---------------------------------------------------------------------------
 # gauge action
-
-
-def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
-    # central t-derivative along axis 0
-    if periodic:
-        out = np.roll(vals, -1, axis=0)
-        out -= np.roll(vals, 1, axis=0)
-        out /= 2 * dt
-        return out
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
-    out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
-    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
-    return out
 
 
 def gauge(conn: CylinderConnection, phi: np.ndarray) -> CylinderConnection:
@@ -532,12 +487,20 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
     else:
         nodes = _interp_rows(phi, np.asarray(tau, dtype=float)[:, None],
                              True, group=True)[:, 0]
-        det = nodes[:, 0, 0] * nodes[:, 1, 1] - nodes[:, 0, 1] * nodes[:, 1, 0]
-        nodes = nodes / np.sqrt(det)[:, None, None]
-    loop = nodes @ mat_inv(nodes[0])[None]
-    if psl_dist(loop[-1], np.eye(2)) > 1e-6:
+    lift = _lift_of_frames(nodes)
+    if psl_dist(lift.g.m, np.eye(2)) > 1e-6:
         raise ValueError("gauge map does not stabilize the crossing endpoints")
-    return int(round(cover_mod.rot_along(geodesic_refine(loop, 4))))
+    return int(round(cover_mod.rot(lift)))
+
+
+def _lift_of_frames(nodes: np.ndarray) -> cover_mod.LiftedElement:
+    # tracked lift of u -> F(u) F(0)^-1 for group samples F (frames or
+    # gauge maps) along a crossing; blended samples lose unit determinant,
+    # so it is divided out, and each step is refined geodesically into 4
+    det = nodes[:, 0, 0] * nodes[:, 1, 1] - nodes[:, 0, 1] * nodes[:, 1, 0]
+    nodes = nodes / np.sqrt(det)[:, None, None]
+    return cover_mod.track_lift_along(
+        geodesic_refine(nodes @ mat_inv(nodes[0])[None], 4))
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +531,20 @@ def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
     t = (tau % 1.0 if conn.periodic else tau)[:, None]
     samples = _interp_rows(conn.grid, t, conn.periodic)[:, 0]
     dtau = np.diff(tau)
-    logs = 0.5 * (samples[:-1] + samples[1:]) * dtau[:, None, None]
-    prods = _left_products(logs)
-
+    lift = cover_mod.lift_of_products(
+        0.5 * (samples[:-1] + samples[1:]) * dtau[:, None, None])
     if conn.s_frame is not None:
+        # the geometric transport is G(u)^-1 P(u) with G = F F(0)^-1 up to
+        # conjugation by the constant F(0), and the lift of a pointwise
+        # product of paths is the product of their lifts
         frames = _interp_rows(conn.s_frame, t, conn.periodic, group=True)[:, 0]
-        det = (frames[:, 0, 0] * frames[:, 1, 1]
-               - frames[:, 0, 1] * frames[:, 1, 0])
-        frames = frames / np.sqrt(det)[:, None, None]
-        prods = mat_inv(frames) @ prods @ frames[0][None]
+        lift = cover_mod.compose(cover_mod.inverse(_lift_of_frames(frames)),
+                                 lift)
 
-    value = cover_mod.rot_along(geodesic_refine(prods, 4))
+    value = cover_mod.rot(lift)
     if not integer:
         return value
-    end_class = classify(GroupElement(prods[-1]), tol)
+    end_class = classify(lift.g, tol)
     if end_class.kind not in ("hyperbolic", "identity"):
         raise NonHyperbolicBoundary(
             f"crossing transport classifies as {end_class}")

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,10 @@ def rotation(theta) -> np.ndarray:
 
 def _check_unimodular(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+    if m.shape != (2, 2) or not np.isfinite(m).all():
         raise NonUnimodular(f"not a finite 2x2 matrix: {m!r}")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if not np.isfinite(det) or det <= 0.0:
+    if not math.isfinite(det) or det <= 0.0:
         raise NonUnimodular(f"determinant {det} is not positive")
     return m / np.sqrt(det)
 
@@ -320,15 +321,19 @@ def _cs_funcs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = np.abs(q) < 1e-8
     pos = (q > 0) & ~small
     neg = (q < 0) & ~small
-    w = np.sqrt(q[pos])
-    c[pos] = np.cos(w)
-    s[pos] = np.sin(w) / w
-    w = np.sqrt(-q[neg])
-    c[neg] = np.cosh(w)
-    s[neg] = np.sinh(w) / w
-    qq = q[small]
-    c[small] = 1.0 - qq / 2.0 + qq * qq / 24.0
-    s[small] = 1.0 - qq / 6.0 + qq * qq / 120.0
+    # a branch no entry takes is skipped: small batches mostly take one
+    if pos.any():
+        w = np.sqrt(q[pos])
+        c[pos] = np.cos(w)
+        s[pos] = np.sin(w) / w
+    if neg.any():
+        w = np.sqrt(-q[neg])
+        c[neg] = np.cosh(w)
+        s[neg] = np.sinh(w) / w
+    if small.any():
+        qq = q[small]
+        c[small] = 1.0 - qq / 2.0 + qq * qq / 24.0
+        s[small] = 1.0 - qq / 6.0 + qq * qq / 120.0
     return c, s
 
 
@@ -400,6 +405,16 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = -m[..., 0, 1]
     out[..., 1, 0] = -m[..., 1, 0]
     return out
+
+
+def kernel_vector(b: np.ndarray) -> np.ndarray:
+    """A vector spanning the kernel of the (numerically) rank-1 2x2 b.
+
+    Orthogonal to the dominant row, which is the row least hurt by
+    rounding when b is a near-singular eigen-shift m - lam 1.
+    """
+    r = b[0] if np.hypot(*b[0]) >= np.hypot(*b[1]) else b[1]
+    return np.array([-r[1], r[0]])
 
 
 def cone_margins(x: np.ndarray) -> np.ndarray:

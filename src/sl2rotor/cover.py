@@ -13,6 +13,7 @@ direction forward has rot = theta / pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,10 @@ from .core import (
     DegenerateClassification,
     ELLIPTIC,
     GroupElement,
-    HYPERBOLIC,
+    IDENTITY,
     IDENTITY_CLASS,
     classify,
+    kernel_vector,
     sl2_exp,
 )
 
@@ -147,16 +149,6 @@ def _displacement_band(lift: LiftedElement) -> int:
     return m
 
 
-def _fixed_direction(g: GroupElement) -> float:
-    # an angle fixed by the projective action; g must not be elliptic
-    m = g.m if g.trace >= 0 else -g.m
-    tr = m[0, 0] + m[1, 1]
-    lam = (tr + np.sqrt(max(tr * tr - 4.0, 0.0))) / 2.0
-    k = m - lam * np.eye(2)
-    r = k[0] if np.hypot(*k[0]) >= np.hypot(*k[1]) else k[1]
-    return float(np.arctan2(r[0], -r[1]))  # orthogonal to the dominant row
-
-
 def rot(lift: LiftedElement) -> float:
     """Translation number of the lift, exact integers off the elliptic set.
 
@@ -170,7 +162,13 @@ def rot(lift: LiftedElement) -> float:
     if spec.kind == IDENTITY_CLASS:
         x0 = 0.0
     else:
-        x0 = _fixed_direction(lift.g)
+        # a fixed direction: the kernel of m - lam 1, with m the positive
+        # trace representative and lam its larger eigenvalue
+        m = lift.g.m if lift.g.trace >= 0 else -lift.g.m
+        tr = m[0, 0] + m[1, 1]
+        lam = (tr + np.sqrt(max(tr * tr - 4.0, 0.0))) / 2.0
+        v = kernel_vector(m - lam * np.eye(2))
+        x0 = float(np.arctan2(v[1], v[0]))
     d = eval_lift(lift, x0) - x0
     n = round(d / PI)
     if abs(d - n * PI) > 1e-6:
@@ -188,21 +186,6 @@ def rot_iterative(lift: LiftedElement, k: int = 64) -> float:
     for _ in range(k):
         y = eval_lift(lift, y)
     return y / (k * PI)
-
-
-def one_param_lift(gamma: np.ndarray, t: float = 1.0) -> LiftedElement:
-    """Lift of exp(t gamma) reached continuously from the identity.
-
-    Tracks the image angle of direction 0 along s -> exp(s gamma), s from 0
-    to t, which pins the anchor without any classification step.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n = int(np.ceil(16.0 * (np.linalg.norm(gamma) + 1.0) * abs(t))) + 8
-    ss = np.linspace(0.0, t, n + 1)
-    mats = sl2_exp(ss[:, None, None] * gamma)
-    a = _angles_along(mats, np.zeros(n + 1))
-    anchor = float(np.sum(_wrap_increments(np.diff(a))))
-    return LiftedElement(GroupElement(mats[-1]), anchor)
 
 
 def sl2_rep(lift: LiftedElement) -> np.ndarray:
@@ -224,32 +207,79 @@ def sl2_rep(lift: LiftedElement) -> np.ndarray:
     return m if (tr > 0) == want_positive else -m
 
 
-def track_lift_along(nodes: np.ndarray, x0: float = 0.0) -> LiftedElement:
+def left_products(factors: np.ndarray) -> np.ndarray:
+    """Ordered partial products P_0 = 1, P_{j+1} = factors_j P_j."""
+    out = np.empty((len(factors) + 1, 2, 2))
+    out[0] = IDENTITY
+    for j, f in enumerate(factors):
+        np.matmul(f, out[j], out=out[j + 1])
+    return out
+
+
+def track_lift_along(nodes: np.ndarray) -> LiftedElement:
     """Continuous lift of the endpoint of a matrix path.
 
     nodes is an (N+1, 2, 2) array of det-1 matrices forming a path that is
     resolvable at this sampling: consecutive nodes must move every
-    direction by less than pi/2.  Starts at the standard lift of nodes[0]
-    and returns the endpoint's lift.
+    direction by less than pi/2.  Starts at the lift of nodes[0] with
+    anchor in [0, pi), the standard lift, and returns the endpoint's lift.
     """
     nodes = np.asarray(nodes, dtype=float)
-    a = _angles_along(nodes, np.full(len(nodes), float(x0)))
-    start = lift_of(GroupElement(nodes[0]))
-    val = eval_lift(start, x0) + float(np.sum(_wrap_increments(np.diff(a))))
-    end_std = lift_of(GroupElement(nodes[-1]))
-    e = eval_lift(end_std, x0)
+    # image angles of direction 0, the angles of the first columns
+    a = np.arctan2(nodes[:, 1, 0], nodes[:, 0, 0])
+    val = a[0] % PI + float(_wrap_increments(a[1:] - a[:-1]).sum())
+    g = GroupElement(nodes[-1])
+    e = act_angle(g, 0.0) % PI  # anchor of the standard lift of the end
     n = round((val - e) / PI)
     if abs(val - e - n * PI) > 1e-6:
         raise DegenerateClassification(
             f"endpoint lift residual {val - e - n * PI} after tracking")
-    return deck(end_std, n)
+    return LiftedElement(g, e + n * PI)
 
 
-def rot_along(nodes: np.ndarray, x0: float = 0.0) -> float:
-    """rot gain along a matrix path: rot(tracked end) - rot(standard start)."""
+def lift_of_products(logs: np.ndarray) -> LiftedElement:
+    """Lift of the ordered product exp(logs_{n-1}) ... exp(logs_0).
+
+    Tracked continuously from the identity along the partial products,
+    with each factor cut into equal pieces of log norm at most 0.1, so
+    that no tracked step turns a direction by pi/2.  The lift of a
+    pointwise product of paths is the product of their lifts, so this is
+    the one lifter that subdivides.
+    """
+    logs = np.asarray(logs, dtype=float)
+    n = len(logs)
+    # pieces of Frobenius log norm at most 0.1
+    sq = np.add.reduce(logs * logs, axis=(1, 2)).max(initial=0.0)
+    sub = max(1, math.ceil(math.sqrt(sq) / 0.1))
+    # exp(k/sub logs_j) for k = 1..sub; k = sub is the full factor
+    taus = np.arange(1, sub + 1) / sub
+    pieces = sl2_exp(taus[:, None, None] * logs[:, None])
+    prods = left_products(pieces[:, -1])
+    nodes = np.empty((n * sub + 1, 2, 2))
+    nodes[::sub] = prods
+    inner = nodes[:-1].reshape(n, sub, 2, 2)[:, 1:]
+    np.matmul(pieces[:, :-1], prods[:-1, None], out=inner)
+    return track_lift_along(nodes)
+
+
+def rot_along(nodes: np.ndarray) -> tuple[LiftedElement, float]:
+    """Endpoint lift tracked from the standard start lift, and its rot gain.
+
+    Returns (endpoint lift, rot(end) - rot(start)).
+    """
     nodes = np.asarray(nodes, dtype=float)
-    end = track_lift_along(nodes, x0)
-    return rot(end) - rot(lift_of(GroupElement(nodes[0])))
+    end = track_lift_along(nodes)
+    # the one-node path gives the start lift exactly as the tracker took it
+    return end, rot(end) - rot(track_lift_along(nodes[:1]))
+
+
+def one_param_lift(gamma: np.ndarray, t: float = 1.0) -> LiftedElement:
+    """Lift of exp(t gamma) reached continuously from the identity.
+
+    The one-factor case of lift_of_products: tracks s -> exp(s gamma),
+    s from 0 to t, which pins the anchor without any classification step.
+    """
+    return lift_of_products(t * np.asarray(gamma, dtype=float)[None])
 
 
 def zero_rot_lift(g: GroupElement) -> LiftedElement:

@@ -26,6 +26,7 @@ from .core import (
     NonUnimodular,
     classify,
     cone_margins,
+    kernel_vector,
     mat_inv,
     rotation,
     sl2_exp,
@@ -147,13 +148,6 @@ def geodesic_refine(nodes: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([fill.reshape(-1, 2, 2), nodes[-1:]])
 
 
-def derivative_cocycle(p: GroupPath, i: int) -> LieElement:
-    """Right derivative cocycle log(g_{i+1} g_i^-1)/h at step i."""
-    if not 0 <= i < p.n_steps:
-        raise IndexError(f"step index {i} out of range")
-    return LieElement(p.right_cocycles()[i])
-
-
 @dataclass(frozen=True)
 class PathReport:
     min_cone_margin: float
@@ -175,7 +169,7 @@ def is_nonnegative(p: GroupPath, margin: float = 1e-9) -> PathReport:
     """Cone margins of all derivative cocycles plus rot bookkeeping."""
     margins = p.margins()
     worst = float(margins.min())
-    _, gain = rot_along(p)
+    _, gain = cover.rot_along(p.nodes)
     itinerary = [_classify_or_none(m) for m in p.nodes]
     return PathReport(
         min_cone_margin=worst,
@@ -185,16 +179,6 @@ def is_nonnegative(p: GroupPath, margin: float = 1e-9) -> PathReport:
         nonnegative=worst >= -margin,
         positive=worst > margin,
     )
-
-
-def rot_along(p: GroupPath, x0: float = 0.0) -> tuple[cover.LiftedElement, float]:
-    """Endpoint lift tracked continuously from the standard start lift.
-
-    Returns (endpoint lift, rot gain); the gain is rot(end) - rot(start).
-    """
-    end = cover.track_lift_along(p.nodes, x0)
-    start = cover.lift_of(GroupElement(p.nodes[0]))
-    return end, cover.rot(end) - cover.rot(start)
 
 
 def pointwise_product(p1: GroupPath, p2: GroupPath) -> GroupPath:
@@ -241,19 +225,9 @@ def spiral_path(r: int, gamma, n: int | None = None) -> GroupPath:
 
 def _scalar_model(data, n: int):
     # returns (value_at(t, i), slope_at(t, i)) where i is the current RK4
-    # step; array input is read as node values joined piecewise linearly,
-    # and the step index keeps every stage on one linear piece so the
-    # integrator never straddles a slope kink
-    if callable(data):
-        def value_at(t: float, i: int) -> float:
-            return float(data(min(max(t, 0.0), 1.0)))
-
-        def slope_at(t: float, i: int) -> float:
-            d = 1e-6
-            lo, hi = max(t - d, 0.0), min(t + d, 1.0)
-            return (value_at(hi, i) - value_at(lo, i)) / (hi - lo)
-
-        return value_at, slope_at
+    # step; the node values are joined piecewise linearly, and the step
+    # index keeps every stage on one linear piece so the integrator never
+    # straddles a slope kink
     vals = np.asarray(data, dtype=float)
     if vals.shape != (n + 1,):
         raise ValueError(f"need {n + 1} node values, got shape {vals.shape}")
@@ -394,13 +368,6 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
 # the unit path and its conjugator frame
 
 
-def _unit_eigvec(b: np.ndarray) -> np.ndarray:
-    # unit vector in the kernel of the (numerically) rank-1 matrix b
-    r = b[0] if np.hypot(*b[0]) >= np.hypot(*b[1]) else b[1]
-    v = np.array([-r[1], r[0]])
-    return v / np.linalg.norm(v)
-
-
 def conjugator_path(nodes: np.ndarray, lam: float) -> np.ndarray:
     """Continuous det-1 frames k_i with nodes_i = k_i diag(lam,1/lam) k_i^-1.
 
@@ -415,8 +382,10 @@ def conjugator_path(nodes: np.ndarray, lam: float) -> np.ndarray:
     u1p = u2p = None
     for i, m in enumerate(nodes):
         mp = m if m[0, 0] + m[1, 1] >= 0 else -m
-        u1 = _unit_eigvec(mp - lam * eye)
-        u2 = _unit_eigvec(mp - lam_inv * eye)
+        u1 = kernel_vector(mp - lam * eye)
+        u2 = kernel_vector(mp - lam_inv * eye)
+        u1 = u1 / np.linalg.norm(u1)
+        u2 = u2 / np.linalg.norm(u2)
         if u1p is not None:
             if float(u1 @ u1p) < 0:
                 u1 = -u1
@@ -484,8 +453,8 @@ def unit_path(lam_target: float, lam: float,
     identity_residual = float(np.abs(
         (1.0 - ps) * (lam - 1.0 / lam) ** 2 + 2.0
         - (g1.nodes[:, 0, 0] + g1.nodes[:, 1, 1])).max())
-    k_end_lift, k_gain = rot_along(k_path)
-    end_lift, gain = rot_along(g1)
+    k_end_lift, k_gain = cover.rot_along(k_path.nodes)
+    end_lift, gain = cover.rot_along(g1.nodes)
     report = {
         "conjugation_residual": residual,
         "trace_identity_residual": identity_residual,

@@ -602,7 +602,7 @@ def verify_artifact(obj: dict) -> dict:
                 float(cone_margins(-art.right_cocycles()).min()), -1e-8,
                 mode="ge")
         if "rot_gain" in claims:
-            _, gain = pth.rot_along(art)
+            _, gain = cover.rot_along(art.nodes)
             checks["rot_gain"] = _check("|rot gain - claim|",
                                         abs(gain - claims["rot_gain"]), 1e-9)
     elif isinstance(art, cx.LoopConnection):
@@ -634,8 +634,8 @@ def verify_artifact(obj: dict) -> dict:
         checks["residuals"] = _check(
             "max stored residual", max(rep["conjugation_residual"],
                                        rep["trace_identity_residual"]), 1e-6)
-        _, k_gain = pth.rot_along(art["k"])
-        _, gain = pth.rot_along(art["g1"])
+        _, k_gain = cover.rot_along(art["k"].nodes)
+        _, gain = cover.rot_along(art["g1"].nodes)
         checks["rots"] = _check(
             "recomputed rot deviations",
             max(abs(gain - rep["rot_gain"]), abs(k_gain - rep["k_rot"])), 0.0)

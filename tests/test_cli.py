@@ -177,6 +177,22 @@ def test_verify_rejects_non_finite_payload(capsys, tmp_path, kind, bad):
     assert "finite" in err
 
 
+def test_verify_rejects_two_row_cylinder(capsys, tmp_path):
+    # two s-rows leave no room for the curvature stencil
+    loop = cx.winding_loop(1, [[0.1, 0.0], [0.0, -0.1]], 16)
+    obj = cylinder_to_obj(cx.pullback_flat(loop, 3))
+    obj["ns"] = 2
+    obj["data"] = obj["data"][:2 * 16 * 4]
+    obj["claims"] = {"nonneg_curved": True}
+    f = tmp_path / "art.json"
+    f.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(
+        "ParseError: malformed cylinder-connection artifact: need an "
+        "(Ns, Mt, 2, 2) grid with Ns >= 3")
+
+
 def test_unknown_build_parameter(capsys, tmp_path):
     f = tmp_path / "x.json"
     code, _, err = run(capsys, "build", "spiral-path", "bogus=1", "--out", str(f))

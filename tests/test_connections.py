@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sl2rotor import connections as cx
+from sl2rotor import cover
 from sl2rotor.core import (
     GroupElement,
     _cs_funcs,
@@ -87,6 +88,14 @@ def test_connections_reject_non_finite_values():
         with pytest.raises(ValueError, match="finite"):
             cx.CylinderConnection(np.broadcast_to(base, grid.shape),
                                   s_frame=frame)
+
+
+def test_cylinder_needs_three_rows():
+    base = cx.winding_loop(1, GAMMA_H, 16).samples
+    with pytest.raises(ValueError, match="Ns >= 3"):
+        cx.CylinderConnection(np.broadcast_to(base, (2,) + base.shape))
+    conn = cx.CylinderConnection(np.broadcast_to(base, (3,) + base.shape))
+    assert conn.is_flat()
 
 
 def test_loop_from_function_matches_samples():
@@ -177,7 +186,7 @@ def constructor_reference(path, a0, ns=None, periodic=True):
     else:
         a_start = np.asarray(a0, dtype=float)
         mid = 0.5 * (a_start[:-1] + a_start[1:]) / (len(a_start) - 1)
-        p_start = cx._left_products(mid)
+        p_start = cover.left_products(sl2_exp(mid))
         t_nodes = np.arange(len(a_start)) / (len(a_start) - 1)
     w = cx.bump_weight(t_nodes)
     big_w = cx.bump_cumulative(t_nodes)
@@ -275,22 +284,12 @@ def test_gauge_preserves_curvature_margins():
 
 
 # rot_c of a gauged winding cylinder across every sheet end k/r + d: the
-# shift must equal the gauge's crossing class n
+# shift must equal the gauge's crossing class n.  At 16 nodes the frame
+# and the transport turn so far between nodes that a node path of their
+# product takes the wrong log branch in 25 of these cases
 CROSSINGS = [(r, n, k, d) for r in (1, 2, 3)
              for n in (-4, -3, -2, -1, 1, 2, 3, 4)
              for k in range(r + 1) for d in (-1, 0, 1)]
-
-# the (r, n, k, d) above where the 16-node shift is wrong: the crossing
-# transport turns too far between nodes for geodesic_refine(prods, 4).
-# Unfixed; see the FOUND line on rot_c at 16 nodes in CHANGES.md
-WRONG_AT_16 = {
-    (1, -4, 0, -1), (1, 4, 0, 1), (1, 4, 1, 0), (1, 4, 1, 1),
-    (2, -4, 0, -1), (2, -4, 1, -1), (2, 3, 2, 1), (2, 4, 0, 1),
-    (2, 4, 1, 0), (2, 4, 1, 1), (2, 4, 2, 0), (2, 4, 2, 1),
-    (3, -4, 0, -1), (3, -4, 1, -1), (3, -4, 2, -1), (3, 3, 1, 1),
-    (3, 3, 2, 1), (3, 3, 3, 1), (3, 4, 0, 1), (3, 4, 1, 0), (3, 4, 1, 1),
-    (3, 4, 2, 0), (3, 4, 2, 1), (3, 4, 3, 0), (3, 4, 3, 1),
-}
 
 
 def crossing_misses(size, cases):
@@ -311,23 +310,9 @@ def crossing_misses(size, cases):
     return misses
 
 
-@pytest.mark.parametrize("size", [24, 32])
+@pytest.mark.parametrize("size", [16, 24, 32])
 def test_gauge_shift_is_crossing_class(size):
     assert crossing_misses(size, CROSSINGS) == []
-
-
-def test_gauge_shift_at_16_nodes_outside_known_misses():
-    right = [c for c in CROSSINGS if c not in WRONG_AT_16]
-    assert crossing_misses(16, right) == []
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(c, marks=pytest.mark.xfail(
-        strict=True, reason="rot_c misses half-turns at 16 nodes; "
-                            "see the FOUND line in CHANGES.md"))
-    for c in sorted(WRONG_AT_16)])
-def test_gauge_shift_at_16_nodes_known_miss(case):
-    assert crossing_misses(16, [case]) == []
 
 
 def test_rot_c_needs_hyperbolic_ends_in_integer_mode():

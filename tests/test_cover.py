@@ -171,7 +171,112 @@ def test_track_lift_along_rotation_sweep():
     nodes = np.stack([rotation(t) for t in thetas])
     end = cover.track_lift_along(nodes)
     assert abs(cover.rot(end) - 2.5) < 1e-9
-    assert abs(cover.rot_along(nodes) - 2.5) < 1e-9
+    tracked, gain = cover.rot_along(nodes)
+    assert abs(gain - 2.5) < 1e-9
+    assert tracked.anchor == end.anchor
+    assert np.array_equal(tracked.g.m, end.g.m)
+
+
+# the lifters as they were before lift_of_products became the one
+# subdividing lifter; each is a copy kept as a reference
+
+
+def track_reference(nodes):
+    """track_lift_along at x0 = 0, walking eval_lift at both ends."""
+    a = cover._angles_along(nodes, np.zeros(len(nodes)))
+    start = cover.lift_of(GroupElement(nodes[0]))
+    d = np.diff(a)
+    val = (cover.eval_lift(start, 0.0)
+           + float(np.sum((d + np.pi / 2) % np.pi - np.pi / 2)))
+    end_std = cover.lift_of(GroupElement(nodes[-1]))
+    n = round((val - cover.eval_lift(end_std, 0.0)) / np.pi)
+    return start, cover.deck(end_std, n)
+
+
+def rot_along_reference(nodes):
+    """The float-valued rot_along: rot(tracked end) - rot(start)."""
+    start, end = track_reference(nodes)
+    return cover.rot(end) - cover.rot(start)
+
+
+def one_param_reference(gamma, t=1.0):
+    """The one-parameter sampler: 16 (|gamma| + 1) |t| + 8 steps of s."""
+    n = int(np.ceil(16.0 * (np.linalg.norm(gamma) + 1.0) * abs(t))) + 8
+    ss = np.linspace(0.0, t, n + 1)
+    mats = sl2_exp(ss[:, None, None] * gamma)
+    d = np.diff(cover._angles_along(mats, np.zeros(n + 1)))
+    anchor = float(np.sum((d + np.pi / 2) % np.pi - np.pi / 2))
+    return cover.LiftedElement(GroupElement(mats[-1]), anchor)
+
+
+def lift_of_products_reference(logs):
+    """The products lift with its factors and pieces taken separately."""
+    prods = np.empty((len(logs) + 1, 2, 2))
+    prods[0] = np.eye(2)
+    factors = sl2_exp(logs)
+    for j in range(len(logs)):
+        prods[j + 1] = factors[j] @ prods[j]
+    sub = max(1, int(np.ceil(np.linalg.norm(logs, axis=(1, 2)).max() / 0.1)))
+    taus = np.arange(sub) / sub
+    fine = np.einsum("ntab,nbc->ntac",
+                     sl2_exp(taus[None, :, None, None] * logs[:, None]),
+                     prods[:-1])
+    return track_reference(
+        np.concatenate([fine.reshape(-1, 2, 2), prods[-1:]]))[1]
+
+
+def assert_same_lift(got, want):
+    assert np.array_equal(got.g.m, want.g.m)
+    assert got.anchor == want.anchor
+
+
+SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("gamma,t", [
+    (1.5 * np.pi * J, 1.0),                      # elliptic, past a half turn
+    (0.4 * np.pi * J, -1.0),                     # elliptic, backwards
+    (3.7 * np.pi * J + np.diag([0.3, -0.3]), 1.0),  # several turns
+    (np.array([[0.2, -1.1], [1.4, -0.2]]), 2.3),  # elliptic, off-axis
+    (np.array([[0.3, 0.1], [0.2, -0.3]]), 1.0),  # hyperbolic
+    (np.array([[1.2, 0.4], [0.9, -1.2]]), -0.6),  # hyperbolic, backwards
+    (2.0 * SHEAR, 1.0),                          # parabolic, both signs
+    (-3.0 * SHEAR.T, 1.0),
+    (SHEAR.T, -2.5),
+])
+def test_one_param_lift_matches_the_sampler(gamma, t):
+    got = cover.one_param_lift(gamma, t)
+    want = one_param_reference(gamma, t)
+    assert np.array_equal(got.g.m, want.g.m)
+    assert abs(got.anchor - want.anchor) < 1e-9
+    assert cover.rot(got) == cover.rot(want)
+
+
+def test_lift_of_products_matches_the_reference():
+    rng = np.random.default_rng(7)
+    for size in (5, 16, 64):
+        for scale in (0.02, 0.3, 2.5):  # one piece per factor, and many
+            logs = scale * np.stack([random_lie(rng) for _ in range(size)])
+            assert_same_lift(cover.lift_of_products(logs),
+                             lift_of_products_reference(logs))
+
+
+def test_rot_along_matches_the_float_version():
+    rng = np.random.default_rng(11)
+    thetas = np.linspace(0.0, 2.5 * np.pi, 400)
+    paths = [rotation(thetas), rotation(thetas[::-1] + 0.3)]
+    for _ in range(6):
+        h = sl2_exp(random_lie(rng, 0.8))
+        paths.append(h @ rotation(thetas + rng.uniform(0, np.pi)) @ mat_inv(h))
+    lam = np.linspace(1.0, 3.0, 200)
+    shears = np.zeros((200, 2, 2))
+    shears[:, 0, 0] = shears[:, 1, 1] = -1.0
+    shears[:, 1, 0] = np.linspace(-2.0, 2.0, 200)
+    paths += [np.stack([np.diag([x, 1.0 / x]) for x in lam]), shears]
+    for nodes in paths:
+        end, gain = cover.rot_along(nodes)
+        assert_same_lift(end, track_reference(nodes)[1])
+        assert gain == rot_along_reference(nodes)
 
 
 def test_zero_rot_lift():

@@ -17,7 +17,6 @@ from sl2rotor.paths import (
     is_nonnegative,
     make_positive,
     pointwise_product,
-    rot_along,
     spiral_path,
     three_classes_triple,
     two_elliptic_trace,
@@ -66,7 +65,8 @@ def test_spiral_margin_lower_bound():
 
 def test_spiral_rot_gain_is_the_winding():
     for r in (1, 2):
-        _, gain = rot_along(spiral_path(r, np.diag([0.1, -0.1]), n=400))
+        _, gain = cover.rot_along(
+            spiral_path(r, np.diag([0.1, -0.1]), n=400).nodes)
         assert gain == float(r)
 
 
@@ -90,7 +90,7 @@ def test_pointwise_product_of_nonneg_paths():
     q = spiral_path(2, np.array([[0.0, 0.1], [0.05, 0.0]]), n=300)
     prod = pointwise_product(p, q)
     assert prod.is_nonneg()
-    _, gain = rot_along(prod)
+    _, gain = cover.rot_along(prod.nodes)
     assert abs(gain - 3.0) < 1e-9
 
 
