@@ -2,10 +2,13 @@
 
 Writes the full JSON reports into --out when given.  With --compare DIR,
 each report is compared byte for byte with DIR/<suite>.json (as written
-by --out or by `sl2rotor verify <suite> --out`) and every suite that
-differs is named.  Exit status is the number of failing suites plus the
-number of differing ones, capped at 99 so it survives shells that
-truncate codes.
+by --out or by `sl2rotor verify <suite> --out`); every suite that
+differs is named, with each differing JSON field: its path, the old and
+the new value, and |delta| for numbers.  A differing int, bool or str
+field (or a changed type, or a missing one) is flagged with "!", since a
+refactor may move float fields only.  Exit status is the number of
+failing suites plus the number of differing ones, capped at 99 so it
+survives shells that truncate codes.
 """
 
 import argparse
@@ -16,6 +19,37 @@ from pathlib import Path
 
 from sl2rotor.config import RunConfig
 from sl2rotor.suites import SUITES, run_suite
+
+
+def field_diffs(old, new, path: str = ""):
+    """Yield (path, old, new) for every leaf where two JSON values differ.
+
+    A key present on one side only gives the value None on the other.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from field_diffs(old.get(key), new.get(key),
+                                   f"{path}.{key}" if path else str(key))
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from field_diffs(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def describe_diffs(old, new) -> tuple[list[str], int]:
+    """One line per differing field, and the number of flagged fields:
+    those whose old or new value is not a float."""
+    lines, flagged = [], 0
+    for path, a, b in field_diffs(old, new):
+        if type(a) is float and type(b) is float:
+            lines.append(f"      {path}: {a!r} -> {b!r}  |d| = {abs(b - a):.3g}")
+        else:
+            flagged += 1
+            lines.append(f"    ! {path}: {a!r} -> {b!r} "
+                         f"({type(a).__name__} -> {type(b).__name__})")
+    return lines, flagged
 
 
 def main() -> int:
@@ -61,7 +95,11 @@ def main() -> int:
                 print(f"    differs: no reference report {ref}")
                 differ.append(name)
             elif ref.read_text() != text:
-                print(f"    differs from {ref}")
+                lines, flagged = describe_diffs(json.loads(ref.read_text()),
+                                                json.loads(text))
+                print(f"    differs from {ref}"
+                      + (f" ({flagged} non-float fields)" if flagged else ""))
+                print("\n".join(lines))
                 differ.append(name)
     if args.compare is not None:
         print(f"{len(differ)} of {len(names)} reports differ from "

@@ -189,16 +189,21 @@ class LoopConnection:
         return mid / self.m
 
     @cached_property
+    def _transports_and_lift(self):
+        # one set of step exponentials serves the products and the lift
+        return cover_mod.products_and_lift(self._step_logs())
+
+    @property
     def transports(self) -> np.ndarray:
         """Partial transports Pi(t_j), j = 0..M, with Pi(0) = 1."""
-        return cover_mod.left_products(sl2_exp(self._step_logs()))
+        return self._transports_and_lift[0]
 
     def holonomy(self) -> GroupElement:
-        return GroupElement(self.transports[-1])
+        return self.lifted_holonomy.g
 
-    @cached_property
+    @property
     def lifted_holonomy(self) -> cover_mod.LiftedElement:
-        return cover_mod.lift_of_products(self._step_logs())
+        return self._transports_and_lift[1]
 
     def rot(self) -> float:
         return cover_mod.rot(self.lifted_holonomy)
@@ -331,8 +336,7 @@ class CylinderConnection:
         return mid * self.dt
 
     def holonomy_loop(self, i: int) -> GroupElement:
-        return GroupElement(
-            cover_mod.left_products(sl2_exp(self._row_step_logs(i)))[-1])
+        return self.lifted_holonomy_loop(i).g
 
     def lifted_holonomy_loop(self, i: int) -> cover_mod.LiftedElement:
         return cover_mod.lift_of_products(self._row_step_logs(i))

@@ -411,10 +411,16 @@ def kernel_vector(b: np.ndarray) -> np.ndarray:
     """A vector spanning the kernel of the (numerically) rank-1 2x2 b.
 
     Orthogonal to the dominant row, which is the row least hurt by
-    rounding when b is a near-singular eigen-shift m - lam 1.
+    rounding when b is a near-singular eigen-shift m - lam 1.  b may be
+    batched (..., 2, 2), giving (..., 2).
     """
-    r = b[0] if np.hypot(*b[0]) >= np.hypot(*b[1]) else b[1]
-    return np.array([-r[1], r[0]])
+    if b.ndim == 2:  # one matrix: a Python branch is cheaper than a mask
+        r = b[0] if np.hypot(*b[0]) >= np.hypot(*b[1]) else b[1]
+        return np.array([-r[1], r[0]])
+    top = (np.hypot(b[..., 0, 0], b[..., 0, 1])
+           >= np.hypot(b[..., 1, 0], b[..., 1, 1]))
+    r = np.where(top[..., None], b[..., 0, :], b[..., 1, :])
+    return np.stack([-r[..., 1], r[..., 0]], axis=-1)
 
 
 def cone_margins(x: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from .core import (
 )
 
 PI = np.pi
+# factors per block of the blocked scan in left_products
+_SCAN_BLOCK = 64
 
 
 class ParityUndefined(ArithmeticError):
@@ -208,11 +210,39 @@ def sl2_rep(lift: LiftedElement) -> np.ndarray:
 
 
 def left_products(factors: np.ndarray) -> np.ndarray:
-    """Ordered partial products P_0 = 1, P_{j+1} = factors_j P_j."""
-    out = np.empty((len(factors) + 1, 2, 2))
+    """Ordered partial products P_0 = 1, P_{j+1} = factors_j P_j.
+
+    A blocked scan: the products within blocks of _SCAN_BLOCK factors
+    advance one position per batched matmul across all blocks, the block
+    products are chained by the same scan, and one batched matmul applies
+    each block's prefix.  The first block is formed exactly as the
+    sequential recursion forms it.
+    """
+    factors = np.asarray(factors, dtype=float)
+    n = len(factors)
+    out = np.empty((n + 1, 2, 2))
     out[0] = IDENTITY
-    for j, f in enumerate(factors):
-        np.matmul(f, out[j], out=out[j + 1])
+    if n == 0:
+        return out
+    b = min(n, _SCAN_BLOCK)
+    nb = -(-n // b)
+    if nb * b > n:  # the last block is padded with 1
+        factors = np.concatenate(
+            [factors, np.broadcast_to(IDENTITY, (nb * b - n, 2, 2))])
+    if nb == 1:  # one block is already in the order of out: scan in place
+        f, local = factors, out[1:]
+    else:  # position-major, so every step reads and writes contiguous slices
+        f = np.ascontiguousarray(factors.reshape(nb, b, 2, 2).swapaxes(0, 1))
+        local = np.empty_like(f)
+    np.matmul(f[0], IDENTITY, out=local[0])
+    for k in range(1, b):
+        np.matmul(f[k], local[k - 1], out=local[k])
+    if nb > 1:
+        out[1:b + 1] = local[:, 0]
+        # pre[j] is the product of all factors before block j
+        pre = left_products(local[-1, :-1])
+        rest = np.matmul(local[:, 1:], pre[1:]).swapaxes(0, 1)
+        out[b + 1:] = rest.reshape(-1, 2, 2)[:n - b]
     return out
 
 
@@ -237,14 +267,15 @@ def track_lift_along(nodes: np.ndarray) -> LiftedElement:
     return LiftedElement(g, e + n * PI)
 
 
-def lift_of_products(logs: np.ndarray) -> LiftedElement:
-    """Lift of the ordered product exp(logs_{n-1}) ... exp(logs_0).
+def products_and_lift(logs: np.ndarray) -> tuple[np.ndarray, LiftedElement]:
+    """Partial products of exp(logs_j), as left_products forms them, and
+    the lift of the full product exp(logs_{n-1}) ... exp(logs_0).
 
-    Tracked continuously from the identity along the partial products,
-    with each factor cut into equal pieces of log norm at most 0.1, so
-    that no tracked step turns a direction by pi/2.  The lift of a
-    pointwise product of paths is the product of their lifts, so this is
-    the one lifter that subdivides.
+    The lift is tracked continuously from the identity along the partial
+    products, with each factor cut into equal pieces of log norm at most
+    0.1, so that no tracked step turns a direction by pi/2.  The lift of
+    a pointwise product of paths is the product of their lifts, so this
+    is the one lifter that subdivides.
     """
     logs = np.asarray(logs, dtype=float)
     n = len(logs)
@@ -259,7 +290,13 @@ def lift_of_products(logs: np.ndarray) -> LiftedElement:
     nodes[::sub] = prods
     inner = nodes[:-1].reshape(n, sub, 2, 2)[:, 1:]
     np.matmul(pieces[:, :-1], prods[:-1, None], out=inner)
-    return track_lift_along(nodes)
+    return prods, track_lift_along(nodes)
+
+
+def lift_of_products(logs: np.ndarray) -> LiftedElement:
+    """Lift of the ordered product exp(logs_{n-1}) ... exp(logs_0),
+    reached continuously from the identity (see products_and_lift)."""
+    return products_and_lift(logs)[1]
 
 
 def rot_along(nodes: np.ndarray) -> tuple[LiftedElement, float]:

@@ -9,6 +9,7 @@ are exposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from .core import (
     GroupElement,
     HYPERBOLIC,
     IDENTITY,
-    J,
     LieElement,
     NonUnimodular,
     classify,
@@ -31,6 +31,7 @@ from .core import (
     rotation,
     sl2_exp,
     sl2_log,
+    sub_identity,
 )
 
 MAX_STEP = 0.5
@@ -223,53 +224,31 @@ def spiral_path(r: int, gamma, n: int | None = None) -> GroupPath:
 # class itineraries
 
 
-def _scalar_model(data, n: int):
-    # returns (value_at(t, i), slope_at(t, i)) where i is the current RK4
-    # step; the node values are joined piecewise linearly, and the step
-    # index keeps every stage on one linear piece so the integrator never
-    # straddles a slope kink
+def _node_values(data, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the n + 1 node values, and their piecewise linear interpolant at
+    # the 4n + 1 probes t = k / 4n that the itinerary checks read
     vals = np.asarray(data, dtype=float)
     if vals.shape != (n + 1,):
         raise ValueError(f"need {n + 1} node values, got shape {vals.shape}")
-
-    def value_at(t: float, i: int) -> float:
-        return float(vals[i] + (t * n - i) * (vals[i + 1] - vals[i]))
-
-    def slope_at(t: float, i: int) -> float:
-        return float((vals[i + 1] - vals[i]) * n)
-
-    return value_at, slope_at
-
-
-def _rk4(deriv, g0: np.ndarray, n: int) -> np.ndarray:
-    h = 1.0 / n
-    out = np.empty((n + 1, 2, 2))
-    out[0] = g0
-    g = np.array(g0, dtype=float)
-    for i in range(n):
-        t = i * h
-        k1 = deriv(t, g, i)
-        k2 = deriv(t + h / 2, g + (h / 2) * k1, i)
-        k3 = deriv(t + h / 2, g + (h / 2) * k2, i)
-        k4 = deriv(t + h, g + h * k3, i)
-        g = g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = g
-    return out
+    x = np.linspace(0.0, 1.0, 4 * n + 1) * n
+    i = np.minimum(x.astype(int), n - 1)
+    return vals, vals[i] + (x - i) * (vals[i + 1] - vals[i])
 
 
 def elliptic_itinerary_path(theta, g0: GroupElement | None = None,
                             n: int = 1000) -> GroupPath:
     """Nonnegative path through the elliptic classes of angle theta(t).
 
-    Integrates g' = g gamma, gamma = theta' (g - cos(theta) 1) / sin(theta),
-    which keeps tr g = 2 cos(theta(t)) exactly; the cone margin of the
-    cocycle is positive exactly where theta' > 0.  A decreasing theta is
-    refused: no nonnegative path can lower the elliptic angle (reverse the
-    result to realize the nonpositive itinerary).
+    The flow g' = g gamma, gamma = theta' (g - cos(theta) 1) / sin(theta),
+    keeps tr g = 2 cos(theta(t)), and its generator lies in span{1, g}, so
+    g never leaves span{1, g0}: the nodes are exactly
+    g_i = cos(theta_i) 1 + sin(theta_i) J0, J0 = (g0 - cos(theta_0) 1) /
+    sin(theta_0), with J0^2 = -1.  The cone margin of the cocycle is
+    positive exactly where theta' > 0.  A decreasing theta is refused: no
+    nonnegative path can lower the elliptic angle (reverse the result to
+    realize the nonpositive itinerary).
     """
-    theta_at, dtheta_at = _scalar_model(theta, n)
-    probes = np.linspace(0.0, 1.0, 4 * n + 1)
-    vals = np.array([theta_at(t, min(int(t * n), n - 1)) for t in probes])
+    theta, vals = _node_values(theta, n)
     if vals.min() < 1e-6 or vals.max() > np.pi - 1e-6:
         raise ItineraryViolation("theta must stay inside (0, pi)")
     if np.diff(vals).min() < -1e-12:
@@ -283,41 +262,14 @@ def elliptic_itinerary_path(theta, g0: GroupElement | None = None,
                 f"g0 must be elliptic of angle {vals[0]}, got {spec}")
         # counterclockwise representative has trace 2 cos(theta)
         start = g0.m if g0.m[1, 0] > 0 else -g0.m
-
-    def deriv(t, g, i):
-        dth = dtheta_at(t, i)
-        if dth == 0.0:
-            return np.zeros((2, 2))
-        th = theta_at(t, i)
-        return dth / np.sin(th) * (g @ g - np.cos(th) * g)
-
-    path = GroupPath(_rk4(deriv, start, n))
+    j0 = sub_identity(start, np.cos(vals[0])) / np.sin(vals[0])
+    nodes = np.sin(theta)[:, None, None] * j0
+    path = GroupPath(sub_identity(nodes, -np.cos(theta), out=nodes))
     drift = np.abs(np.abs(path.nodes[:, 0, 0] + path.nodes[:, 1, 1])
                    - 2.0 * np.abs(np.cos(vals[::4])))
     if drift.max() > 1e-6:
         raise ItineraryViolation(f"angle itinerary drifted by {drift.max():.3g}")
     return path
-
-
-def _hyperbolic_generator(g: np.ndarray, want_increase: bool,
-                          eta_scale: float) -> np.ndarray:
-    # cone-boundary directions tangent to the fixed-multiplier motion:
-    # alpha = sqrt(r), (delta, eps) = +-(b + c, a - d) with
-    # r = (a - d)^2 + (b + c)^2 = tr^2 - 4 + (c - b)^2 for det 1.
-    # The + branch has tr(g gamma) = sqrt(r)(sqrt(r) - T) > 0, so it always
-    # raises the trace; eta J pushes strictly inside the cone.  eta is
-    # capped so the eta J term never overturns the sign of tr(g gamma),
-    # whose unperturbed size is at least (tr^2 - 4) sqrt(r) / (sqrt(r)+|T|).
-    a, b, c, d = g.ravel()
-    m = np.array([[a - d, b + c], [b + c, d - a]])
-    root_r = np.hypot(a - d, b + c)
-    sign = 1.0 if want_increase else -1.0
-    tee = abs(c - b)
-    tr2m4 = (a + d) ** 2 - 4.0
-    eta = eta_scale * root_r
-    if tee > 0.0:
-        eta = min(eta, 0.25 * tr2m4 * root_r / ((root_r + tee) * tee))
-    return root_r * J + sign * m + eta * J
 
 
 def hyperbolic_itinerary_path(lam, direction: int = 1,
@@ -327,11 +279,10 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
 
     Flows along a perturbed cone-boundary generator rescaled so the trace
     of the representative follows tau(t) = direction (lam + 1/lam) exactly;
-    the boundary branch tracks the sign of tau'.
+    the boundary branch tracks the sign of tau'.  Classical RK4 on the
+    piecewise linear lam, every stage of step i on the piece i.
     """
-    lam_at, dlam_at = _scalar_model(lam, n)
-    probes = np.linspace(0.0, 1.0, 4 * n + 1)
-    lam_vals = np.array([lam_at(t, min(int(t * n), n - 1)) for t in probes])
+    lam_nodes, lam_vals = _node_values(lam, n)
     if lam_vals.min() <= 1.0 + 1e-9:
         raise ItineraryViolation("multiplier must stay above 1")
     if direction not in (-1, 1):
@@ -346,16 +297,55 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
         tr = g0.trace
         start = g0.m if tr * direction > 0 else -g0.m
 
-    def deriv(t, g, i):
-        lam = lam_at(t, i)
-        dtau = direction * (1.0 - 1.0 / lam ** 2) * dlam_at(t, i)
-        if dtau == 0.0:
-            return np.zeros((2, 2))
-        gamma = _hyperbolic_generator(g, dtau > 0, eta_scale)
-        pairing = float(np.trace(g @ gamma))
-        return (dtau / pairing) * (gamma @ g)
+    h = 1.0 / n
+    steps = np.arange(n)[:, None]
+    rise = np.diff(lam_nodes)[:, None]
+    # lam and tau' = direction (1 - 1/lam^2) lam' at the stage times
+    # t, t + h/2 and t + h of every step
+    x = (steps * h + np.array([0.0, h / 2, h])) * n
+    stage_lam = lam_nodes[:-1, None] + (x - steps) * rise
+    dtaus = (direction * (1.0 - 1.0 / stage_lam ** 2) * (rise * n)).tolist()
 
-    path = GroupPath(_rk4(deriv, start, n))
+    def deriv(dtau, a, b, c, d):
+        # (dtau / tr(g gamma)) gamma g for the cone-boundary generator
+        # gamma = sqrt(r) J + sign m + eta J, m = [[a - d, b + c],
+        # [b + c, d - a]], r = (a - d)^2 + (b + c)^2 = tr^2 - 4 + (c - b)^2.
+        # The + branch has tr(g gamma) = sqrt(r)(sqrt(r) - T) > 0, so it
+        # always raises the trace; eta J pushes strictly inside the cone.
+        # eta is capped so the eta J term never overturns the sign of
+        # tr(g gamma), whose unperturbed size is at least
+        # (tr^2 - 4) sqrt(r) / (sqrt(r) + |T|).
+        if dtau == 0.0:
+            return 0.0, 0.0, 0.0, 0.0
+        sign = 1.0 if dtau > 0 else -1.0
+        root_r = math.hypot(a - d, b + c)
+        tee = abs(c - b)
+        eta = eta_scale * root_r
+        if tee > 0.0:
+            eta = min(eta, 0.25 * ((a + d) ** 2 - 4.0) * root_r
+                      / ((root_r + tee) * tee))
+        g00 = sign * (a - d)
+        g01 = sign * (b + c) - root_r - eta
+        g10 = sign * (b + c) + root_r + eta
+        g11 = -g00
+        f = dtau / (a * g00 + b * g10 + c * g01 + d * g11)
+        return (f * (g00 * a + g01 * c), f * (g00 * b + g01 * d),
+                f * (g10 * a + g11 * c), f * (g10 * b + g11 * d))
+
+    # the state steps as four Python floats: at 2x2 a numpy call costs
+    # more than the arithmetic it does
+    g = start.ravel().tolist()
+    rows = [g]
+    h2, h6 = h / 2, h / 6
+    for d0, d1, d2 in dtaus:
+        k1 = deriv(d0, *g)
+        k2 = deriv(d1, *[v + h2 * k for v, k in zip(g, k1)])
+        k3 = deriv(d1, *[v + h2 * k for v, k in zip(g, k2)])
+        k4 = deriv(d2, *[v + h * k for v, k in zip(g, k3)])
+        g = [v + h6 * (p + 2 * q + 2 * r + s)
+             for v, p, q, r, s in zip(g, k1, k2, k3, k4)]
+        rows.append(g)
+    path = GroupPath(np.reshape(rows, (n + 1, 2, 2)))
     node_lams = lam_vals[::4]
     target = node_lams + 1.0 / node_lams
     drift = np.abs(np.abs(path.nodes[:, 0, 0] + path.nodes[:, 1, 1]) - target)
@@ -368,6 +358,14 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
 # the unit path and its conjugator frame
 
 
+def _branch_signs(x: np.ndarray) -> np.ndarray:
+    # signs s_i with s_0 = 1 and s_i x_i . s_{i-1} x_{i-1} >= 0: the
+    # cumulative product of the relative signs of consecutive entries
+    x = x.reshape(len(x), -1)
+    dots = np.vecdot(x[1:], x[:-1])
+    return np.cumprod(np.concatenate([[1.0], np.where(dots < 0, -1.0, 1.0)]))
+
+
 def conjugator_path(nodes: np.ndarray, lam: float) -> np.ndarray:
     """Continuous det-1 frames k_i with nodes_i = k_i diag(lam,1/lam) k_i^-1.
 
@@ -376,36 +374,31 @@ def conjugator_path(nodes: np.ndarray, lam: float) -> np.ndarray:
     above the resolvability threshold raises ConjugatorBranchLoss.
     """
     nodes = np.asarray(nodes, dtype=float)
-    lam_inv = 1.0 / lam
-    out = np.empty_like(nodes)
-    eye = np.eye(2)
-    u1p = u2p = None
-    for i, m in enumerate(nodes):
-        mp = m if m[0, 0] + m[1, 1] >= 0 else -m
-        u1 = kernel_vector(mp - lam * eye)
-        u2 = kernel_vector(mp - lam_inv * eye)
-        u1 = u1 / np.linalg.norm(u1)
-        u2 = u2 / np.linalg.norm(u2)
-        if u1p is not None:
-            if float(u1 @ u1p) < 0:
-                u1 = -u1
-            if float(u2 @ u2p) < 0:
-                u2 = -u2
-        u1p, u2p = u1, u2
-        du = float(u1[0] * u2[1] - u1[1] * u2[0])
-        if abs(du) < 1e-12:
+    tr = nodes[:, 0, 0] + nodes[:, 1, 1]
+    mp = np.where((tr >= 0)[:, None, None], nodes, -nodes)
+    # unit eigenvectors, each branch carried continuously along the path
+    u1, u2 = (kernel_vector(sub_identity(mp, np.full(len(mp), ev)))
+              for ev in (lam, 1.0 / lam))
+    u1 /= np.sqrt(np.vecdot(u1, u1))[:, None]
+    u2 /= np.sqrt(np.vecdot(u2, u2))[:, None]
+    u1 *= _branch_signs(u1)[:, None]
+    u2 *= _branch_signs(u2)[:, None]
+    du = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
+    collapse = np.abs(du) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = 1.0 / np.sqrt(np.abs(du))
+        ks = np.stack([c1[:, None] * u1,
+                       np.where(du > 0, c1, -c1)[:, None] * u2], axis=2)
+        step = np.minimum(np.linalg.norm(ks[1:] - ks[:-1], axis=(1, 2)),
+                          np.linalg.norm(ks[1:] + ks[:-1], axis=(1, 2)))
+    # the first failing node; a collapse there is reported before a jump
+    bad = collapse | np.concatenate([[False], step > MAX_STEP])
+    if bad.any():
+        i = int(bad.argmax())
+        if collapse[i]:
             raise ConjugatorBranchLoss(f"eigenvectors collapse at node {i}")
-        c1 = 1.0 / np.sqrt(abs(du))
-        c2 = c1 if du > 0 else -c1
-        k = np.stack([c1 * u1, c2 * u2], axis=1)
-        if i > 0:
-            prev = out[i - 1]
-            if np.linalg.norm(k - prev) > np.linalg.norm(k + prev):
-                k = -k
-            if min(np.linalg.norm(k - prev), np.linalg.norm(k + prev)) > MAX_STEP:
-                raise ConjugatorBranchLoss(f"conjugator jump at node {i}")
-        out[i] = k
-    return out
+        raise ConjugatorBranchLoss(f"conjugator jump at node {i}")
+    return ks * _branch_signs(ks)[:, None, None]
 
 
 def conjugation_residual(nodes: np.ndarray, ks: np.ndarray, lam: float) -> float:

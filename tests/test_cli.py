@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sl2rotor import connections as cx
+from sl2rotor import cover
 from sl2rotor.cli import entry
 from sl2rotor.serialize import cylinder_to_obj, loop_to_obj
 
@@ -152,6 +153,33 @@ def test_cover_build_claims(capsys, tmp_path):
                      "--out", str(f))
     assert code == 0
     assert json.loads(f.read_text())["claims"]["rot"] == 3.0
+
+
+def test_verify_loop_exponentiates_its_steps_once(capsys, tmp_path,
+                                                  monkeypatch):
+    # rot and holonomy of the loop read one set of step exponentials
+    f = tmp_path / "cover.json"
+    run(capsys, "build", "cover", "mu=3", "--res", "128", "--out", str(f))
+    shapes = []
+    for mod in (cover, cx):
+        monkeypatch.setattr(mod, "sl2_exp", lambda x, real=mod.sl2_exp:
+                            shapes.append(np.shape(x)) or real(x))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert len(shapes) == 1 and shapes[0][0] == 128
+
+
+@pytest.mark.parametrize("res", ["16", "48"])
+def test_coarse_elliptic_path_round_trip(capsys, tmp_path, res):
+    # the nodes are exact at any resolution, so no angle drift refuses them
+    f = tmp_path / "ell.json"
+    code, _, err = run(capsys, "build", "elliptic-path", "--res", res,
+                       "--out", str(f))
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize("kind", ["cylinder", "loop"])

@@ -279,6 +279,51 @@ def test_rot_along_matches_the_float_version():
         assert gain == rot_along_reference(nodes)
 
 
+def left_products_reference(factors):
+    """The sequential recursion that the blocked scan replaced."""
+    out = np.empty((len(factors) + 1, 2, 2))
+    out[0] = np.eye(2)
+    for j, f in enumerate(factors):
+        np.matmul(f, out[j], out=out[j + 1])
+    return out
+
+
+def random_factors(rng, n, scale):
+    a, b, c = scale * rng.normal(size=(3, n))
+    return sl2_exp(np.stack([np.stack([a, b], -1), np.stack([c, -a], -1)], -2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129, 4097])
+def test_left_products_matches_the_sequential_recursion(n):
+    rng = np.random.default_rng(n)
+    for scale in (0.05, 0.5):
+        factors = random_factors(rng, n, scale)
+        got = cover.left_products(factors)
+        want = left_products_reference(factors)
+        # the first block is the recursion itself, signed zeros included
+        head = cover._SCAN_BLOCK + 1
+        assert np.array_equal(got[:head], want[:head])
+        assert np.array_equal(np.signbit(got[:head]), np.signbit(want[:head]))
+        # after it the products are associated differently: rounding only
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
+
+
+def test_products_and_lift_share_one_exponential_call(monkeypatch):
+    logs = 0.3 * np.stack([random_lie(np.random.default_rng(i))
+                           for i in range(100)])
+    calls = []
+    real = cover.sl2_exp
+    monkeypatch.setattr(cover, "sl2_exp",
+                        lambda x: calls.append(x.shape) or real(x))
+    prods, lift = cover.products_and_lift(logs)
+    assert len(calls) == 1
+    # the products are left_products of the full factors, bit for bit
+    assert np.array_equal(prods, cover.left_products(real(logs)))
+    assert np.array_equal(lift.g.m, GroupElement(prods[-1]).m)
+    assert abs(lift.anchor - lift_of_products_reference(logs).anchor) < 1e-9
+
+
 def test_zero_rot_lift():
     g = GroupElement.diagonal(3.0)
     assert cover.rot(cover.zero_rot_lift(g)) == 0.0

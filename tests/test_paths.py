@@ -6,11 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2rotor import cover
-from sl2rotor.core import GroupElement, classify, cone_margins
+from sl2rotor.core import (
+    J,
+    GroupElement,
+    classify,
+    cone_margins,
+    kernel_vector,
+    mat_inv,
+    rotation,
+    sl2_exp,
+)
 from sl2rotor.paths import (
+    ConjugatorBranchLoss,
     GroupPath,
     ItineraryViolation,
     StepTooLarge,
+    conjugator_path,
     elliptic_about,
     elliptic_itinerary_path,
     hyperbolic_itinerary_path,
@@ -137,6 +148,201 @@ def test_hyperbolic_itinerary_descending():
     p = hyperbolic_itinerary_path(lam, n=300)
     rec = np.array([classify(GroupElement(m)).value for m in p.nodes])
     assert np.abs(rec - lam).max() < 1e-5
+
+
+# the RK4 itinerary builders as they were before the closed-form elliptic
+# path and the scalar hyperbolic RK4; copies kept as references
+
+
+def scalar_model_reference(data, n):
+    vals = np.asarray(data, dtype=float)
+
+    def value_at(t, i):
+        return float(vals[i] + (t * n - i) * (vals[i + 1] - vals[i]))
+
+    def slope_at(t, i):
+        return float((vals[i + 1] - vals[i]) * n)
+
+    return value_at, slope_at
+
+
+def rk4_reference(deriv, g0, n):
+    h = 1.0 / n
+    out = np.empty((n + 1, 2, 2))
+    out[0] = g0
+    g = np.array(g0, dtype=float)
+    for i in range(n):
+        t = i * h
+        k1 = deriv(t, g, i)
+        k2 = deriv(t + h / 2, g + (h / 2) * k1, i)
+        k3 = deriv(t + h / 2, g + (h / 2) * k2, i)
+        k4 = deriv(t + h, g + h * k3, i)
+        g = g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i + 1] = g
+    return out
+
+
+def elliptic_rk4_reference(theta, start, n):
+    theta_at, dtheta_at = scalar_model_reference(theta, n)
+
+    def deriv(t, g, i):
+        dth = dtheta_at(t, i)
+        if dth == 0.0:
+            return np.zeros((2, 2))
+        th = theta_at(t, i)
+        return dth / np.sin(th) * (g @ g - np.cos(th) * g)
+
+    return GroupPath(rk4_reference(deriv, start, n)).nodes
+
+
+def hyperbolic_generator_reference(g, want_increase, eta_scale):
+    a, b, c, d = g.ravel()
+    m = np.array([[a - d, b + c], [b + c, d - a]])
+    root_r = np.hypot(a - d, b + c)
+    sign = 1.0 if want_increase else -1.0
+    tee = abs(c - b)
+    tr2m4 = (a + d) ** 2 - 4.0
+    eta = eta_scale * root_r
+    if tee > 0.0:
+        eta = min(eta, 0.25 * tr2m4 * root_r / ((root_r + tee) * tee))
+    return root_r * J + sign * m + eta * J
+
+
+def hyperbolic_rk4_reference(lam, direction, start, n, eta_scale=1e-3):
+    lam_at, dlam_at = scalar_model_reference(lam, n)
+
+    def deriv(t, g, i):
+        lam = lam_at(t, i)
+        dtau = direction * (1.0 - 1.0 / lam ** 2) * dlam_at(t, i)
+        if dtau == 0.0:
+            return np.zeros((2, 2))
+        gamma = hyperbolic_generator_reference(g, dtau > 0, eta_scale)
+        pairing = float(np.trace(g @ gamma))
+        return (dtau / pairing) * (gamma @ g)
+
+    return GroupPath(rk4_reference(deriv, start, n)).nodes
+
+
+def traceless(x):
+    # (..., 3) coordinates to traceless (..., 2, 2) matrices
+    a, b, c = np.moveaxis(x, -1, 0)
+    return np.stack([np.stack([a, b], -1), np.stack([c, -a], -1)], -2)
+
+
+def conjugated(m, seed):
+    h = sl2_exp(traceless(0.4 * np.random.default_rng(seed).normal(size=3)))
+    return GroupElement(h @ m @ mat_inv(h))
+
+
+def test_elliptic_closed_form_matches_the_rk4_flow():
+    rng = np.random.default_rng(3)
+    plateau = np.concatenate([np.full(300, 0.7), np.linspace(0.7, 2.9, 701)])
+    ramps = [np.linspace(0.3, 2.4, 1001), plateau,
+             0.2 + np.cumsum(np.concatenate([[0.0], rng.random(1000)]))
+             * 2.5 / 500.0]
+    for theta in ramps:
+        for g0 in (None, conjugated(rotation(theta[0]), 5)):
+            p = elliptic_itinerary_path(theta, g0=g0, n=1000)
+            start = (rotation(theta[0]) if g0 is None
+                     else g0.m if g0.m[1, 0] > 0 else -g0.m)
+            ref = elliptic_rk4_reference(theta, start, 1000)
+            assert np.abs(p.nodes - ref).max() < 1e-6
+            tr = p.nodes[:, 0, 0] + p.nodes[:, 1, 1]
+            assert np.abs(np.abs(tr) - 2.0 * np.abs(np.cos(theta))).max() < 1e-14
+
+
+@pytest.mark.parametrize("lam,direction", [
+    (np.linspace(1.5, 3.0, 1001), 1),
+    (np.linspace(3.0, 1.5, 1001), 1),
+    (np.linspace(1.2, 2.2, 401), -1),
+    (np.concatenate([np.full(100, 1.8), np.linspace(1.8, 1.3, 301)]), -1),
+])
+def test_scalar_hyperbolic_rk4_matches_the_array_rk4(lam, direction):
+    n = len(lam) - 1
+    for g0 in (None, conjugated(np.diag([lam[0], 1.0 / lam[0]]), 9)):
+        p = hyperbolic_itinerary_path(lam, direction=direction, g0=g0, n=n)
+        if g0 is None:
+            start = direction * np.diag([lam[0], 1.0 / lam[0]])
+        else:
+            start = g0.m if g0.trace * direction > 0 else -g0.m
+        ref = hyperbolic_rk4_reference(lam, direction, start, n)
+        assert np.abs(p.nodes - ref).max() < 1e-12
+
+
+def conjugator_reference(nodes, lam):
+    """The node-by-node conjugator frame loop."""
+    lam_inv = 1.0 / lam
+    out = np.empty_like(nodes)
+    eye = np.eye(2)
+    u1p = u2p = None
+    for i, m in enumerate(nodes):
+        mp = m if m[0, 0] + m[1, 1] >= 0 else -m
+        u1 = kernel_vector(mp - lam * eye)
+        u2 = kernel_vector(mp - lam_inv * eye)
+        u1 = u1 / np.linalg.norm(u1)
+        u2 = u2 / np.linalg.norm(u2)
+        if u1p is not None:
+            if float(u1 @ u1p) < 0:
+                u1 = -u1
+            if float(u2 @ u2p) < 0:
+                u2 = -u2
+        u1p, u2p = u1, u2
+        du = float(u1[0] * u2[1] - u1[1] * u2[0])
+        if abs(du) < 1e-12:
+            raise ConjugatorBranchLoss(f"eigenvectors collapse at node {i}")
+        c1 = 1.0 / np.sqrt(abs(du))
+        c2 = c1 if du > 0 else -c1
+        k = np.stack([c1 * u1, c2 * u2], axis=1)
+        if i > 0:
+            prev = out[i - 1]
+            if np.linalg.norm(k - prev) > np.linalg.norm(k + prev):
+                k = -k
+            if min(np.linalg.norm(k - prev), np.linalg.norm(k + prev)) > 0.5:
+                raise ConjugatorBranchLoss(f"conjugator jump at node {i}")
+        out[i] = k
+    return out
+
+
+def shear_nodes(lam, t):
+    # upper-triangular nodes of multiplier lam; the eigenvectors close in
+    # as the corner t grows
+    nodes = np.zeros((len(t), 2, 2))
+    nodes[:, 0, 0], nodes[:, 1, 1], nodes[:, 0, 1] = lam, 1.0 / lam, t
+    return nodes
+
+
+def test_conjugator_path_matches_the_node_loop():
+    rng = np.random.default_rng(13)
+    g1, _, _ = unit_path(2.0, 2.6, n=600)
+    cases = [(g1.nodes @ np.diag([2.6, 1.0 / 2.6]), 2.6)]
+    for lam in (1.3, 2.2):
+        # a conjugated hyperbolic sweep, both signs of the representative
+        h = sl2_exp(traceless(np.cumsum(0.03 * rng.normal(size=(400, 3)), 0)))
+        nodes = h @ np.diag([lam, 1.0 / lam]) @ mat_inv(h)
+        nodes[::3] *= -1.0
+        cases.append((nodes, lam))
+    cases.append((shear_nodes(1.5, np.linspace(-3.0, 3.0, 200)), 1.5))
+    for nodes, lam in cases:
+        got = conjugator_path(nodes, lam)
+        want = conjugator_reference(nodes, lam)
+        assert np.array_equal(np.sign(got), np.sign(want))
+        scale = np.linalg.norm(want, axis=(1, 2))[:, None, None]
+        assert (np.abs(got - want) <= np.finfo(float).eps * scale).all()
+
+
+@pytest.mark.parametrize("t,word", [
+    (np.concatenate([np.zeros(5), [3e13], np.zeros(5)]), "collapse at node 5"),
+    (np.concatenate([np.zeros(3), np.full(5, 4.0)]), "jump at node 3"),
+    (np.concatenate([np.linspace(0.0, 1e6, 9), [3e13]]), "jump at node 1"),
+])
+def test_conjugator_path_reports_the_failing_node(t, word):
+    nodes = shear_nodes(1.5, t)
+    with pytest.raises(ConjugatorBranchLoss) as want:
+        conjugator_reference(nodes, 1.5)
+    with pytest.raises(ConjugatorBranchLoss) as got:
+        conjugator_path(nodes, 1.5)
+    assert str(got.value) == str(want.value)
+    assert word in str(got.value)
 
 
 # ---------------------------------------------------------------------------

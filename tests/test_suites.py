@@ -88,3 +88,44 @@ def test_run_all_suites_compare(tmp_path, monkeypatch, capsys):
     code, out = run(*only, "--compare", str(tmp_path))
     assert code == 2
     assert "2 of 2 reports differ" in out and "two-elliptic three-classes" in out
+
+
+def test_compare_lists_each_differing_field(tmp_path):
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_suites.py"
+    describe = runpy.run_path(str(script))["describe_diffs"]
+    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+    old_dir.mkdir()
+    new_dir.mkdir()
+    old = {"suite": "krein", "cases": 50, "passed": True, "failing_seeds": [],
+           "checks": {"tracking": {"value": 1.5e-10, "bound": 1e-5,
+                                   "quantity": "max |recovered|",
+                                   "satisfied": True}},
+           "config": {"n": 1000, "tau_class": 1e-9}}
+    new = json.loads(json.dumps(old))
+    new["checks"]["tracking"]["value"] = 2.5e-14   # a float moves
+    new["cases"] = 49                               # an int moves
+    new["checks"]["tracking"]["satisfied"] = False  # a bool moves
+    new["checks"]["tracking"]["quantity"] = "other"  # a str moves
+    new["failing_seeds"] = [3]                      # a list grows
+    del new["config"]["n"]                          # a field goes
+    (old_dir / "krein.json").write_text(json.dumps(old, sort_keys=True, indent=1))
+    (new_dir / "krein.json").write_text(json.dumps(new, sort_keys=True, indent=1))
+    (old_dir / "cover.json").write_text(json.dumps(old, sort_keys=True, indent=1))
+    (new_dir / "cover.json").write_text(json.dumps(old, sort_keys=True, indent=1))
+
+    same, flagged = describe(json.loads((old_dir / "cover.json").read_text()),
+                             json.loads((new_dir / "cover.json").read_text()))
+    assert same == [] and flagged == 0
+    lines, flagged = describe(json.loads((old_dir / "krein.json").read_text()),
+                              json.loads((new_dir / "krein.json").read_text()))
+    assert flagged == 5
+    assert [line.split(":")[0].strip() for line in lines] == [
+        "! cases", "! checks.tracking.quantity", "! checks.tracking.satisfied",
+        "checks.tracking.value", "! config.n", "! failing_seeds"]
+    assert lines[3].strip() == ("checks.tracking.value: 1.5e-10 -> 2.5e-14  "
+                                "|d| = 1.5e-10")
+    assert lines[1].startswith("    ! ") and "(str -> str)" in lines[1]
+    assert "(int -> NoneType)" in lines[4]
