@@ -11,10 +11,9 @@ import sys
 
 import numpy as np
 
-from sl2rotor import connections as cx
 from sl2rotor.config import RunConfig
-# the seeded instance samplers are shared with the milnor-wood suite
-from sl2rotor.suites import _exp_family_instance, _random_lift
+# the seeded instances are the milnor-wood suite's
+from sl2rotor.suites import milnor_wood_cases
 
 
 def summarize(label, margins):
@@ -35,24 +34,11 @@ def main() -> int:
     args = ap.parse_args()
     cfg = RunConfig() if args.seed is None else RunConfig(seed=args.seed)
 
-    rows = []
-    cyl_margins = []
-    for i in range(args.count):
-        rng = np.random.default_rng([cfg.seed, 31, i])
-        p, a0 = _exp_family_instance(rng, args.grid, args.grid, cap=3.0)
-        conn = cx.from_nonpositive_path(p, a0)
-        rep = cx.milnor_wood_check(conn, flat=False, seed=i)
-        cyl_margins.append(rep["margin"])
-        rows.append(("cylinder", i, rep["value"], rep["bound"], rep["margin"]))
-
-    pants_margins = []
-    for i in range(args.count):
-        rng = np.random.default_rng([cfg.seed, 37, i])
-        data = cx.PantsHolonomyData(_random_lift(rng), _random_lift(rng))
-        rep = cx.milnor_wood_check(data, seed=i)
-        pants_margins.append(rep["margin"])
-        rows.append(("pants", i, rep["value"], rep["bound"], rep["margin"]))
-
+    rows = [(kind, i, rep["value"], rep["bound"], rep["margin"])
+            for kind, i, rep in milnor_wood_cases(cfg, args.count, args.count,
+                                                  args.grid)]
+    cyl_margins = [row[4] for row in rows if row[0] == "cylinder"]
+    pants_margins = [row[4] for row in rows if row[0] == "pants"]
     summarize("cylinders", cyl_margins)
     summarize("pants", pants_margins)
 

@@ -2,6 +2,11 @@
 
 Artifacts land in --out (default ./artifacts) as hex-float JSON; the
 cylinder is chained from the inverted hyperbolic path it stores next to.
+With --compare DIR, each artifact and its .verify.json report is compared
+byte for byte with the file of the same name in DIR, and every file that
+differs (or is missing on either side) is named.  Exit status is 1 if a
+build or verification failed, plus the number of differing files, capped
+at 99.
 """
 
 import argparse
@@ -17,6 +22,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--res", type=int, default=128,
                     help="path/grid resolution passed to the builders")
+    ap.add_argument("--compare", type=Path, default=None, metavar="DIR",
+                    help="directory of reference artifacts to compare with")
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -36,6 +43,7 @@ def main() -> int:
     ]
 
     bad = 0
+    differ = []
     for kind, params, path in jobs:
         code = entry(["build", kind, *params, *common, "--out", str(path)])
         if code == 0:
@@ -44,7 +52,17 @@ def main() -> int:
         status = "ok" if code == 0 else f"FAILED (exit {code})"
         print(f"{kind:<16} -> {path}  {status}")
         bad += code != 0
-    return 1 if bad else 0
+        if args.compare is not None:
+            for new in (path, path.with_suffix(".verify.json")):
+                ref = args.compare / new.name
+                if not (new.is_file() and ref.is_file()
+                        and new.read_bytes() == ref.read_bytes()):
+                    print(f"    differs: {new} vs {ref}")
+                    differ.append(new.name)
+    if args.compare is not None:
+        print(f"{len(differ)} of {2 * len(jobs)} files differ from "
+              f"{args.compare}" + (f": {' '.join(differ)}" if differ else ""))
+    return min((1 if bad else 0) + len(differ), 99)
 
 
 if __name__ == "__main__":

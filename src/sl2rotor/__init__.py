@@ -39,8 +39,6 @@ from .core import (
     cone_margins,
     cone_test,
     canonical_rep,
-    is_cone_nonneg,
-    is_cone_nonpos,
     psl_dist,
     random_in_class,
     sl2_exp,

@@ -13,7 +13,7 @@ Orientation conventions, recorded in every report:
 * transport solves dPi/dt Pi^-1 = A with increasing t;
 * the s = 0 boundary circle is taken orientation-reversed, so
   rot_boundary = rot(lift at s=1) - rot(lift at s=0);
-* crossing paths c run from (0, tau(0)) to (1, tau(1)), and the positive
+* crossing paths c run straight from (0, 0) to (1, tau), and the positive
   Dehn twist shifts t by -beta(s), which subtracts rot(boundary) from
   rot_c.
 """
@@ -152,6 +152,39 @@ def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
     return out
 
 
+def _step_logs(a: np.ndarray, periodic: bool) -> np.ndarray:
+    # the midpoint rule of every t-transport: step log (a_j + a_{j+1}) / 2n
+    # per cell, n cells wrapping around (periodic) or one fewer than the
+    # samples (square)
+    mid = 0.5 * (a + np.roll(a, -1, axis=0) if periodic else a[:-1] + a[1:])
+    mid /= len(mid)
+    return mid
+
+
+def _traceless(a: np.ndarray, what: str) -> np.ndarray:
+    # finite and traceless to 1e-9, returned projected and read-only
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    tr = a[..., 0, 0] + a[..., 1, 1]
+    if np.abs(tr).max() > 1e-9:
+        raise ValueError(f"{what} must be traceless")
+    a = sub_identity(a, 0.5 * tr)
+    a.setflags(write=False)
+    return a
+
+
+def _regauge(x: np.ndarray, xa: np.ndarray, dt: float,
+             periodic: bool) -> np.ndarray:
+    # x a x^-1 + (dx/dt) x^-1 projected to traceless, formed in place in
+    # xa = x a; t is the node axis of the frames x, the third from the end
+    inv = mat_inv(x)
+    np.matmul(xa, inv, out=xa)
+    dx = np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, periodic), 0, -3)
+    xa += dx @ inv
+    tr = xa[..., 0, 0] + xa[..., 1, 1]
+    return sub_identity(xa, 0.5 * tr, out=xa)
+
+
 # ---------------------------------------------------------------------------
 # loops
 
@@ -166,14 +199,7 @@ class LoopConnection:
         a = np.asarray(self.samples, dtype=float)
         if a.ndim != 3 or a.shape[1:] != (2, 2) or len(a) < 4:
             raise ValueError(f"need an (M, 2, 2) sample array, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("samples must be finite")
-        tr = a[:, 0, 0] + a[:, 1, 1]
-        if np.abs(tr).max() > 1e-9:
-            raise ValueError("samples must be traceless")
-        a = sub_identity(a, 0.5 * tr)
-        a.setflags(write=False)
-        object.__setattr__(self, "samples", a)
+        object.__setattr__(self, "samples", _traceless(a, "samples"))
 
     @property
     def m(self) -> int:
@@ -183,15 +209,10 @@ class LoopConnection:
     def times(self) -> np.ndarray:
         return np.arange(self.m) / self.m
 
-    def _step_logs(self) -> np.ndarray:
-        # midpoint rule: exp(dt (a_j + a_{j+1})/2) per cell, wrapping
-        mid = 0.5 * (self.samples + np.roll(self.samples, -1, axis=0))
-        return mid / self.m
-
     @cached_property
     def _transports_and_lift(self):
         # one set of step exponentials serves the products and the lift
-        return cover_mod.products_and_lift(self._step_logs())
+        return cover_mod.products_and_lift(_step_logs(self.samples, True))
 
     @property
     def transports(self) -> np.ndarray:
@@ -269,13 +290,7 @@ class CylinderConnection:
         if g.ndim != 4 or g.shape[2:] != (2, 2) or g.shape[0] < 3 or g.shape[1] < 4:
             raise ValueError(f"need an (Ns, Mt, 2, 2) grid with Ns >= 3 and "
                              f"Mt >= 4, got {g.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("grid values must be finite")
-        tr = g[..., 0, 0] + g[..., 1, 1]
-        if np.abs(tr).max() > 1e-9:
-            raise ValueError("grid values must be traceless")
-        g = sub_identity(g, 0.5 * tr)
-        g.setflags(write=False)
+        g = _traceless(g, "grid values")
         object.__setattr__(self, "grid", g)
         if self.s_frame is not None:
             f = np.asarray(self.s_frame, dtype=float)
@@ -327,19 +342,12 @@ class CylinderConnection:
 
     # -- t-transport ---------------------------------------------------
 
-    def _row_step_logs(self, i: int) -> np.ndarray:
-        a = self.grid[i]
-        if self.periodic:
-            mid = 0.5 * (a + np.roll(a, -1, axis=0))
-        else:
-            mid = 0.5 * (a[:-1] + a[1:])
-        return mid * self.dt
-
     def holonomy_loop(self, i: int) -> GroupElement:
         return self.lifted_holonomy_loop(i).g
 
     def lifted_holonomy_loop(self, i: int) -> cover_mod.LiftedElement:
-        return cover_mod.lift_of_products(self._row_step_logs(i))
+        return cover_mod.lift_of_products(
+            _step_logs(self.grid[i], self.periodic))
 
     def boundary_loop(self, end: int) -> LoopConnection:
         if not self.periodic:
@@ -376,7 +384,7 @@ def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnectio
 
 
 def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
-                          mt: int | None = None, periodic: bool = True,
+                          periodic: bool = True,
                           tol: float = 1e-9) -> CylinderConnection:
     """Nonnegatively curved connection whose s-loops have holonomy g(s).
 
@@ -398,24 +406,14 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
         raise NotNonpositive(
             f"path cocycles leave the nonpositive cone by {-worst:.3g}")
 
-    if periodic:
-        if not isinstance(a0, LoopConnection):
-            a0 = LoopConnection(np.asarray(a0, dtype=float))
-        if mt is not None and mt != a0.m:
-            raise ValueError(f"mt = {mt} but a0 has {a0.m} samples")
-        a_start = a0.samples
-        p_start = a0.transports[:-1]
-        hol0 = a0.holonomy().m
-        t_nodes = a0.times
-    else:
-        a_start = np.asarray(a0, dtype=float)
-        if mt is not None and mt != len(a_start):
-            raise ValueError(f"mt = {mt} but a0 has {len(a_start)} samples")
-        mid = 0.5 * (a_start[:-1] + a_start[1:]) / (len(a_start) - 1)
-        # one entry per t node, last is t = 1
-        trans = cover_mod.left_products(sl2_exp(mid))
-        p_start, hol0 = trans, trans[-1]
-        t_nodes = np.arange(len(a_start)) / (len(a_start) - 1)
+    if periodic and not isinstance(a0, LoopConnection):
+        a0 = LoopConnection(np.asarray(a0, dtype=float))
+    a_start = a0.samples if periodic else np.asarray(a0, dtype=float)
+    m = len(a_start)
+    t_nodes = np.arange(m) / (m if periodic else m - 1)
+    # the start transports at the m t nodes, and the a0 holonomy at t = 1
+    trans = cover_mod.left_products(sl2_exp(_step_logs(a_start, periodic)))
+    p_start, hol0 = trans[:m], trans[-1]
     if psl_dist(hol0, path.nodes[0]) > 1e-6:
         raise HolonomyMismatch(
             f"a0 holonomy is {psl_dist(hol0, path.nodes[0]):.3g} from g(0)")
@@ -466,11 +464,7 @@ def gauge(conn: CylinderConnection, phi: np.ndarray) -> CylinderConnection:
     if phi.shape != conn.grid.shape:
         raise ValueError("phi grid must match the connection grid")
     phi0 = phi[0]
-    dphi0 = _dt_of_grid(phi0, conn.dt, conn.periodic)
-    inv0 = mat_inv(phi0)
-    new_grid = phi0 @ conn.grid @ inv0 + (dphi0 @ inv0)[None]
-    tr = new_grid[..., 0, 0] + new_grid[..., 1, 1]
-    sub_identity(new_grid, 0.5 * tr, out=new_grid)
+    new_grid = _regauge(phi0, phi0 @ conn.grid, conn.dt, conn.periodic)
     # without a recorded frame (the identity) this is phi0 phi^-1
     lead = phi0 if conn.s_frame is None else phi0 @ conn.s_frame
     new_frame = lead @ mat_inv(phi)
@@ -511,32 +505,22 @@ def _lift_of_frames(nodes: np.ndarray) -> cover_mod.LiftedElement:
 # transports across the cylinder
 
 
-def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
-          integer: bool = True, tol: float = TAU_CLASS) -> float:
-    """Rotation number of the transport along the crossing path c.
+def rot_c(conn: CylinderConnection, tau: float,
+          tol: float = TAU_CLASS) -> float:
+    """Integer rotation number of the transport along the crossing path c.
 
-    c(u) = (u, tau(u)) with tau given at the s-nodes (scalar input means
-    the straight ramp 0 -> tau, None the straight line t = 0).  Transport
-    picks up A dt along c; the recorded frame, if any, corrects the nodes
-    back to the underlying geometric connection.  In integer mode the
-    transported element must be hyperbolic or the identity, classified
-    with the band half-width tol.
+    c is the straight ramp u -> (u, u tau) from (0, 0) to (1, tau), taken
+    at the s-nodes.  Transport picks up A dt along c; the recorded frame,
+    if any, corrects the nodes back to the underlying geometric
+    connection.  The transported element must be hyperbolic or the
+    identity, classified with the band half-width tol.
     """
-    ns = conn.ns
-    if tau is None:
-        tau = np.zeros(ns)
-    elif np.isscalar(tau):
-        tau = np.linspace(0.0, float(tau), ns)
-    else:
-        tau = np.asarray(tau, dtype=float)
-        if tau.shape != (ns,):
-            raise ValueError(f"tau must have one value per s node ({ns})")
-
+    tau = np.linspace(0.0, float(tau), conn.ns)
     t = (tau % 1.0 if conn.periodic else tau)[:, None]
     samples = _interp_rows(conn.grid, t, conn.periodic)[:, 0]
-    dtau = np.diff(tau)
+    # the midpoint rule along c, whose t-steps are diff(tau)
     lift = cover_mod.lift_of_products(
-        0.5 * (samples[:-1] + samples[1:]) * dtau[:, None, None])
+        0.5 * (samples[:-1] + samples[1:]) * np.diff(tau)[:, None, None])
     if conn.s_frame is not None:
         # the geometric transport is G(u)^-1 P(u) with G = F F(0)^-1 up to
         # conjugation by the constant F(0), and the lift of a pointwise
@@ -546,8 +530,6 @@ def rot_c(conn: CylinderConnection, tau: np.ndarray | float | None = None,
                                  lift)
 
     value = cover_mod.rot(lift)
-    if not integer:
-        return value
     end_class = classify(lift.g, tol)
     if end_class.kind not in ("hyperbolic", "identity"):
         raise NonHyperbolicBoundary(
@@ -588,16 +570,10 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
         np.matmul(psi[i], steps[i], out=psi[i + 1])
     del steps
 
-    # psi A psi^-1 + (dpsi/dt) psi^-1, each full-grid temporary freed early
-    inv_psi = mat_inv(psi)
+    # the twisted grid is freed before the re-gauge allocates
     new_grid = psi @ a_tw
     del a_tw
-    new_grid = new_grid @ inv_psi
-    dpsi = _dt_of_grid(psi.swapaxes(0, 1), conn.dt, True).swapaxes(0, 1)
-    new_grid += dpsi @ inv_psi
-    del dpsi, inv_psi
-    tr = new_grid[..., 0, 0] + new_grid[..., 1, 1]
-    sub_identity(new_grid, 0.5 * tr, out=new_grid)
+    new_grid = _regauge(psi, new_grid, conn.dt, True)
 
     # the old frame at the twisted times, composed after psi; without a
     # recorded frame (the identity) the new frame is psi itself

@@ -270,14 +270,6 @@ def cone_test(gamma: LieElement, tol: float = TAU_CLASS) -> str:
     return INDEFINITE
 
 
-def is_cone_nonneg(kind: str) -> bool:
-    return kind in (POSITIVE, NONNEG_BOUNDARY, ZERO)
-
-
-def is_cone_nonpos(kind: str) -> bool:
-    return kind in (NEGATIVE, NONPOS_BOUNDARY, ZERO)
-
-
 def t_function(g: GroupElement) -> float:
     """T(g) = c - b of the stored representative; sign-blind callers use |T|."""
     return float(g.m[1, 0] - g.m[0, 1])

@@ -75,9 +75,6 @@ class DiscLieElement:
     def cone_margin(self) -> float:
         return float(self.alpha - abs(self.beta))
 
-    def scaled(self, c: float) -> "DiscLieElement":
-        return DiscLieElement(c * self.alpha, c * self.beta)
-
 
 # ---------------------------------------------------------------------------
 # Cayley transfer

@@ -35,6 +35,11 @@ from .core import (
 )
 
 MAX_STEP = 0.5
+# the hyperbolic itinerary's push into the cone, relative to sqrt(r)
+_ETA_SCALE = 1e-3
+# unit-path segments are refined to at most this many steps: the default
+# n = 2000 gives 1000, so a coarse n builds exactly what the default builds
+_MAX_SEGMENT_STEPS = 1024
 
 
 class StepTooLarge(ValueError):
@@ -49,12 +54,18 @@ class ConjugatorBranchLoss(RuntimeError):
     """Continuous eigenvector/conjugator branch could not be maintained."""
 
 
+def _branch_signs(x: np.ndarray) -> np.ndarray:
+    # signs s_i with s_0 = 1 and s_i x_i . s_{i-1} x_{i-1} >= 0: the
+    # cumulative product of the relative signs of consecutive entries
+    x = x.reshape(len(x), -1)
+    dots = np.vecdot(x[1:], x[:-1])
+    return np.cumprod(np.concatenate([[1.0], np.where(dots < 0, -1.0, 1.0)]))
+
+
 def align_signs(nodes: np.ndarray) -> np.ndarray:
     """Flip representative signs so consecutive nodes are Frobenius-nearest."""
-    nodes = np.array(nodes, dtype=float)
-    ips = np.sum(nodes[:-1] * nodes[1:], axis=(1, 2))
-    flips = np.concatenate([[1.0], np.cumprod(np.where(ips < 0, -1.0, 1.0))])
-    return nodes * flips[:, None, None]
+    nodes = np.asarray(nodes, dtype=float)
+    return nodes * _branch_signs(nodes)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -273,8 +284,8 @@ def elliptic_itinerary_path(theta, g0: GroupElement | None = None,
 
 
 def hyperbolic_itinerary_path(lam, direction: int = 1,
-                              g0: GroupElement | None = None, n: int = 1000,
-                              eta_scale: float = 1e-3) -> GroupPath:
+                              g0: GroupElement | None = None,
+                              n: int = 1000) -> GroupPath:
     """Nonnegative path through hyperbolic classes of multiplier lam(t).
 
     Flows along a perturbed cone-boundary generator rescaled so the trace
@@ -320,7 +331,7 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
         sign = 1.0 if dtau > 0 else -1.0
         root_r = math.hypot(a - d, b + c)
         tee = abs(c - b)
-        eta = eta_scale * root_r
+        eta = _ETA_SCALE * root_r
         if tee > 0.0:
             eta = min(eta, 0.25 * ((a + d) ** 2 - 4.0) * root_r
                       / ((root_r + tee) * tee))
@@ -358,31 +369,24 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
 # the unit path and its conjugator frame
 
 
-def _branch_signs(x: np.ndarray) -> np.ndarray:
-    # signs s_i with s_0 = 1 and s_i x_i . s_{i-1} x_{i-1} >= 0: the
-    # cumulative product of the relative signs of consecutive entries
-    x = x.reshape(len(x), -1)
-    dots = np.vecdot(x[1:], x[:-1])
-    return np.cumprod(np.concatenate([[1.0], np.where(dots < 0, -1.0, 1.0)]))
-
-
 def conjugator_path(nodes: np.ndarray, lam: float) -> np.ndarray:
     """Continuous det-1 frames k_i with nodes_i = k_i diag(lam,1/lam) k_i^-1.
 
-    Every node must be hyperbolic of multiplier lam.  Eigenvector branches
-    and the overall projective sign are carried along the path; a jump
-    above the resolvability threshold raises ConjugatorBranchLoss.
+    Every node must be hyperbolic of multiplier lam.  The expanding
+    eigenvector branch is carried along the path, which keeps consecutive
+    frames on one side; the second column, sign(du) c u2, does not depend
+    on the sign of u2.  A jump above the resolvability threshold raises
+    ConjugatorBranchLoss.
     """
     nodes = np.asarray(nodes, dtype=float)
     tr = nodes[:, 0, 0] + nodes[:, 1, 1]
     mp = np.where((tr >= 0)[:, None, None], nodes, -nodes)
-    # unit eigenvectors, each branch carried continuously along the path
+    # unit eigenvectors, the first branch carried continuously along the path
     u1, u2 = (kernel_vector(sub_identity(mp, np.full(len(mp), ev)))
               for ev in (lam, 1.0 / lam))
     u1 /= np.sqrt(np.vecdot(u1, u1))[:, None]
     u2 /= np.sqrt(np.vecdot(u2, u2))[:, None]
     u1 *= _branch_signs(u1)[:, None]
-    u2 *= _branch_signs(u2)[:, None]
     du = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
     collapse = np.abs(du) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -398,7 +402,18 @@ def conjugator_path(nodes: np.ndarray, lam: float) -> np.ndarray:
         if collapse[i]:
             raise ConjugatorBranchLoss(f"eigenvectors collapse at node {i}")
         raise ConjugatorBranchLoss(f"conjugator jump at node {i}")
-    return ks * _branch_signs(ks)[:, None, None]
+    return ks
+
+
+def _resolved(segment, count: int) -> np.ndarray:
+    # segment(u) at count uniform steps of [0, 1], the count doubled while
+    # a node step exceeds MAX_STEP and it stays within _MAX_SEGMENT_STEPS
+    nodes = segment(np.linspace(0.0, 1.0, count + 1))
+    while (2 * count <= _MAX_SEGMENT_STEPS and np.linalg.norm(
+            np.diff(nodes, axis=0), axis=(1, 2)).max() > MAX_STEP):
+        count *= 2
+        nodes = segment(np.linspace(0.0, 1.0, count + 1))
+    return nodes
 
 
 def conjugation_residual(nodes: np.ndarray, ks: np.ndarray, lam: float) -> float:
@@ -419,22 +434,32 @@ def unit_path(lam_target: float, lam: float,
     nonnegative path; here the verifiable consequences are produced: the
     conjugator frame k(t) of g1(t) g2, its trace identity, the positivity
     of its diagonal, and the exact unit of rot gained by g1.
+
+    n is a lower bound: each segment gets half of the n steps, doubled
+    while its node steps exceed MAX_STEP, up to _MAX_SEGMENT_STEPS.
     """
     if lam <= 1.0 or lam_target <= 1.0:
         raise ValueError("multipliers must exceed 1")
-    half = n // 2
-    t1 = np.linspace(0.0, 1.0, half + 1)
-    seg_a = np.zeros((half + 1, 2, 2))
-    seg_a[:, 0, 0] = 1.0
-    seg_a[:, 1, 1] = 1.0
-    seg_a[:, 1, 0] = t1
     a_end = (lam ** 2 + 1.0 + lam_target + 1.0 / lam_target) / (lam ** 2 - 1.0)
-    av = 1.0 + (a_end - 1.0) * np.linspace(0.0, 1.0, n - half + 1)
-    seg_b = np.empty((n - half + 1, 2, 2))
-    seg_b[:, 0, 0] = av
-    seg_b[:, 1, 0] = 1.0
-    seg_b[:, 1, 1] = lam ** 2 + 1.0 - av * lam ** 2
-    seg_b[:, 0, 1] = av * seg_b[:, 1, 1] - 1.0
+
+    def shear(u):
+        seg = np.zeros((len(u), 2, 2))
+        seg[:, 0, 0] = 1.0
+        seg[:, 1, 1] = 1.0
+        seg[:, 1, 0] = u
+        return seg
+
+    def slide(u):
+        av = 1.0 + (a_end - 1.0) * u
+        seg = np.empty((len(u), 2, 2))
+        seg[:, 0, 0] = av
+        seg[:, 1, 0] = 1.0
+        seg[:, 1, 1] = lam ** 2 + 1.0 - av * lam ** 2
+        seg[:, 0, 1] = av * seg[:, 1, 1] - 1.0
+        return seg
+
+    half = n // 2
+    seg_a, seg_b = _resolved(shear, half), _resolved(slide, n - half)
     g1 = GroupPath(np.concatenate([seg_a, seg_b[1:]]))
 
     ms = g1.nodes @ np.diag([lam, 1.0 / lam])
@@ -452,7 +477,7 @@ def unit_path(lam_target: float, lam: float,
         "conjugation_residual": residual,
         "trace_identity_residual": identity_residual,
         "min_ps": float(ps.min()),
-        "k_end_class": str(classify(k_path.node(n))),
+        "k_end_class": str(classify(k_path.node(-1))),
         "k_rot": cover.rot(k_end_lift),
         "rot_gain": gain,
         "endpoint_trace": float(g1.nodes[-1, 0, 0] + g1.nodes[-1, 1, 1]),

@@ -182,6 +182,24 @@ def test_coarse_elliptic_path_round_trip(capsys, tmp_path, res):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("args", [["--res", "16"],
+                                  ["lam=1.5", "--res", "64"]])
+def test_coarse_unit_path_round_trip(capsys, tmp_path, args):
+    # the segments are resampled until every node step fits
+    f = tmp_path / "unit.json"
+    code, _, err = run(capsys, "build", "unit-path", *args, "--out", str(f))
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_unit_path_suite_at_res_256(capsys):
+    code, out, err = run(capsys, "verify", "unit-path", "--res", "256")
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize("kind", ["cylinder", "loop"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_verify_rejects_non_finite_payload(capsys, tmp_path, kind, bad):
@@ -232,3 +250,30 @@ def test_unknown_build_kind(capsys, tmp_path):
     code = entry(["build", "nonsense", "--out", str(tmp_path / "x.json")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_build_examples_compare(tmp_path, monkeypatch, capsys):
+    import runpy
+    from pathlib import Path
+
+    script = (Path(__file__).resolve().parent.parent / "scripts"
+              / "build_examples.py")
+    main = runpy.run_path(str(script))["main"]
+
+    def build(out, *argv):
+        monkeypatch.setattr("sys.argv", ["build_examples.py", "--res", "64",
+                                         "--out", str(out), *argv])
+        code = main()
+        return code, capsys.readouterr().out
+
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    assert build(ref)[0] == 0
+    code, out = build(new, "--compare", str(ref))
+    assert code == 0 and "0 of 12 files differ" in out
+    f = ref / "cover.json"
+    data = bytearray(f.read_bytes())
+    data[-2] ^= 1
+    f.write_bytes(bytes(data))
+    code, out = build(new, "--compare", str(ref))
+    assert code == 1
+    assert "1 of 12 files differ" in out and out.rstrip().endswith("cover.json")

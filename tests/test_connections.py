@@ -223,6 +223,31 @@ def test_constructor_matches_per_row_reference(n_steps, ns, periodic, start):
     assert_bits_equal(got.grid, want)
 
 
+@pytest.mark.parametrize("mt", [24, 96, 192, 256])
+def test_rows_and_loops_share_one_step_rule(mt):
+    # one midpoint step rule: a row's holonomy is its loop's, bit for bit
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
+                       mt=mt)
+    conn = cx.from_nonpositive_path(p, a0)
+    for i in range(conn.ns):
+        assert_bits_equal(conn.holonomy_loop(i).m,
+                          cx.LoopConnection(conn.grid[i]).holonomy().m)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_constructor_tracks_no_lift(periodic, monkeypatch):
+    # the start transports are products of step exponentials alone
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
+                       mt=40)
+    calls = []
+    monkeypatch.setattr(cover, "track_lift_along",
+                        lambda nodes, real=cover.track_lift_along:
+                        calls.append(len(nodes)) or real(nodes))
+    cx.from_nonpositive_path(p, a0 if periodic else a0.samples,
+                             periodic=periodic)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # gauge action
 

@@ -363,6 +363,30 @@ def test_unit_path_report():
     assert float(ps.min()) == pytest.approx(rep["min_ps"], rel=1e-12)
 
 
+@pytest.mark.parametrize("lam_target,lam,n", [
+    (2.0, 2.0, 32), (2.0, 1.5, 128), (3.0, 1.3, 128), (3.0, 1.3, 512)])
+def test_unit_path_resolves_coarse_requests(lam_target, lam, n):
+    # n is a lower bound: a segment whose steps do not fit is resampled
+    g1, k, rep = unit_path(lam_target, lam, n=n)
+    assert g1.n_steps > n and k.n_steps == g1.n_steps
+    assert rep["k_end_class"].startswith("Hyperbolic")
+    assert rep["k_rot"] == 0.0 and rep["rot_gain"] == 1.0
+    assert max(rep["conjugation_residual"],
+               rep["trace_identity_residual"]) <= 1e-6
+
+
+def test_unit_path_keeps_the_requested_count_where_it_fits():
+    g1, k, _ = unit_path(2.0, 2.6, n=600)
+    assert g1.n_steps == k.n_steps == 600
+
+
+def test_unit_path_refinement_is_bounded():
+    # the default n refuses this multiplier too; refining stops at 1024
+    # steps a segment instead of reaching ever worse conditioned nodes
+    with pytest.raises(StepTooLarge):
+        unit_path(2.0, 1.05, n=64)
+
+
 # ---------------------------------------------------------------------------
 # triples and two-elliptic products
 

@@ -129,3 +129,24 @@ def test_compare_lists_each_differing_field(tmp_path):
                                 "|d| = 1.5e-10")
     assert lines[1].startswith("    ! ") and "(str -> str)" in lines[1]
     assert "(int -> NoneType)" in lines[4]
+
+
+def test_bochner_sweep_smoke(tmp_path, monkeypatch, capsys):
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bochner_sweep.py"
+    main = runpy.run_path(str(script))["main"]
+    csv = tmp_path / "margins.csv"
+    monkeypatch.setattr("sys.argv", ["bochner_sweep.py", "--count", "3",
+                                     "--csv", str(csv)])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert "cylinders: n=3 violations=0" in out and "pants: n=3 violations=0" in out
+    lines = csv.read_text().splitlines()
+    # the sweep reads the suite's own instances
+    assert lines[0] == "kind,seed,value,bound,margin"
+    assert lines[1:] == [f"{kind},{i},{rep['value']!r},{rep['bound']!r},"
+                         f"{rep['margin']!r}"
+                         for kind, i, rep
+                         in suites.milnor_wood_cases(RunConfig(), 3, 3)]
