@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from sl2rotor.config import RunConfig
+from sl2rotor.serialize import dumps_json
 from sl2rotor.suites import SUITES, run_suite
 
 
@@ -86,7 +87,7 @@ def main() -> int:
                 if not c["satisfied"]:
                     print(f"    {key}: {c['quantity']} = {c['value']:.6g} "
                           f"vs bound {c['bound']:.6g}")
-        text = json.dumps(rep, sort_keys=True, indent=1) + "\n"
+        text = dumps_json(rep)
         if args.out is not None:
             (args.out / f"{name}.json").write_text(text)
         if args.compare is not None:

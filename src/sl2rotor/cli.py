@@ -31,6 +31,7 @@ from .serialize import (
     ParseError,
     cylinder_to_obj,
     dump_json,
+    dumps_json,
     load_obj,
     loop_to_obj,
     obj_to_artifact,
@@ -65,8 +66,7 @@ def _config_from(args) -> RunConfig:
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
-    text = (report_csv(report) if fmt == "csv"
-            else json.dumps(report, sort_keys=True, indent=1) + "\n")
+    text = report_csv(report) if fmt == "csv" else dumps_json(report)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

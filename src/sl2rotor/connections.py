@@ -1,7 +1,7 @@
-"""Discrete Lie-algebra-valued connections on the cylinder and square.
+"""Discrete Lie-algebra-valued connections on the cylinder.
 
-Storage is the canonical gauge A = A(s,t) dt on the grid s_i = i/(Ns-1),
-t_j = j/Mt (periodic) or j/(Mt-1) (square).  In this gauge the curvature
+Storage is the canonical gauge A = A(s,t) dt on the grid s_i = i/(Ns-1)
+and the circle t_j = j/Mt.  In this gauge the curvature
 2-form reduces to -dA/ds, parallel transport in the t-direction is an
 ordered exponential of the stored samples, and transport along s-lines is
 trivial.  Connections that acquire a ds-component (gauge images, Dehn-twist
@@ -97,31 +97,26 @@ def smoothstep(s) -> np.ndarray:
 # sampling and differentiating grids
 
 
-def _interp_rows(rows: np.ndarray, t: np.ndarray, periodic: bool,
+def _interp_rows(rows: np.ndarray, t: np.ndarray,
                  group: bool = False) -> np.ndarray:
     """Sample row i of an (Ns, M, 2, 2) grid at the times t[i, k].
 
-    Linear interpolation between the nodes j/M with wrap-around (periodic)
-    or j/(M-1) with the index clamped to the row (square); returns
-    (Ns, K, 2, 2).  group marks rows of SL(2) matrices (frames, gauge
+    Linear interpolation between the circle nodes j/M, wrapping around;
+    returns (Ns, K, 2, 2).  group marks rows of SL(2) matrices (frames, gauge
     maps): a neighbour pointing away from its partner is negated before
     the blend, since both signs are one element of PSL(2,R).
     """
     if not np.isfinite(t).all():
         raise ValueError("sample times must be finite")
     m = rows.shape[1]
-    n = m if periodic else m - 1
     # connection rows divide by the node spacing, group rows multiply by
-    # the node count; the two round apart when n is not a power of two,
+    # the node count; the two round apart when m is not a power of two,
     # and each keeps the rounding its samplers have always used
-    x = t * n if group else t / (1.0 / n)
+    x = t * m if group else t / (1.0 / m)
     j = np.floor(x)
     frac = x - j
-    if periodic:  # wrapped while still float, so no index overflows
-        j0, j1 = j % m, (j + 1) % m
-    else:
-        j0 = np.clip(j, 0, m - 1)
-        j1 = np.minimum(j0 + 1, m - 1)
+    # wrapped while still float, so no index overflows
+    j0, j1 = j % m, (j + 1) % m
     # gather on the flattened rows: row i, node j is entry i * m + j
     base = np.arange(0, len(rows) * m, m)[:, None]
     flat = rows.reshape(-1, 2, 2)
@@ -152,11 +147,10 @@ def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
     return out
 
 
-def _step_logs(a: np.ndarray, periodic: bool) -> np.ndarray:
-    # the midpoint rule of every t-transport: step log (a_j + a_{j+1}) / 2n
-    # per cell, n cells wrapping around (periodic) or one fewer than the
-    # samples (square)
-    mid = 0.5 * (a + np.roll(a, -1, axis=0) if periodic else a[:-1] + a[1:])
+def _step_logs(a: np.ndarray) -> np.ndarray:
+    # the midpoint rule of every t-transport: step log (a_j + a_{j+1}) / 2M
+    # per cell, the M cells wrapping around the circle
+    mid = 0.5 * (a + np.roll(a, -1, axis=0))
     mid /= len(mid)
     return mid
 
@@ -173,13 +167,12 @@ def _traceless(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _regauge(x: np.ndarray, xa: np.ndarray, dt: float,
-             periodic: bool) -> np.ndarray:
+def _regauge(x: np.ndarray, xa: np.ndarray, dt: float) -> np.ndarray:
     # x a x^-1 + (dx/dt) x^-1 projected to traceless, formed in place in
     # xa = x a; t is the node axis of the frames x, the third from the end
     inv = mat_inv(x)
     np.matmul(xa, inv, out=xa)
-    dx = np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, periodic), 0, -3)
+    dx = np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, True), 0, -3)
     xa += dx @ inv
     tr = xa[..., 0, 0] + xa[..., 1, 1]
     return sub_identity(xa, 0.5 * tr, out=xa)
@@ -212,7 +205,7 @@ class LoopConnection:
     @cached_property
     def _transports_and_lift(self):
         # one set of step exponentials serves the products and the lift
-        return cover_mod.products_and_lift(_step_logs(self.samples, True))
+        return cover_mod.products_and_lift(_step_logs(self.samples))
 
     @property
     def transports(self) -> np.ndarray:
@@ -268,21 +261,19 @@ def cover(a: LoopConnection, mu: int) -> LoopConnection:
 
 
 # ---------------------------------------------------------------------------
-# cylinders and squares
+# cylinders
 
 
 @dataclass(frozen=True)
 class CylinderConnection:
-    """Canonical-gauge connection grid A[i, j] = A(s_i, t_j).
+    """Canonical-gauge connection grid A[i, j] = A(s_i, t_j), t_j = j/Mt.
 
-    periodic selects the cylinder (t_j = j/Mt) versus the square
-    (t_j = j/(Mt-1)).  s_frame, when present, is the recorded grid of the
-    trivialization that carried the original connection into this gauge;
-    it re-enters only in transports across the cylinder (rot_c).
+    s_frame, when present, is the recorded grid of the trivialization that
+    carried the original connection into this gauge; it re-enters only in
+    transports across the cylinder (rot_c).
     """
 
     grid: np.ndarray
-    periodic: bool = True
     s_frame: np.ndarray | None = None
 
     def __post_init__(self):
@@ -315,7 +306,7 @@ class CylinderConnection:
 
     @property
     def dt(self) -> float:
-        return 1.0 / (self.mt if self.periodic else self.mt - 1)
+        return 1.0 / self.mt
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -346,12 +337,9 @@ class CylinderConnection:
         return self.lifted_holonomy_loop(i).g
 
     def lifted_holonomy_loop(self, i: int) -> cover_mod.LiftedElement:
-        return cover_mod.lift_of_products(
-            _step_logs(self.grid[i], self.periodic))
+        return cover_mod.lift_of_products(_step_logs(self.grid[i]))
 
     def boundary_loop(self, end: int) -> LoopConnection:
-        if not self.periodic:
-            raise ValueError("square connections have no boundary loops")
         return LoopConnection(self.grid[0 if end == 0 else -1])
 
     # -- boundary rotation ----------------------------------------------
@@ -363,14 +351,14 @@ class CylinderConnection:
         return cover_mod.rot(l1) - cover_mod.rot(l0)
 
 
-def cylinder_from_function(fn, ns: int = DEFAULT_RES, mt: int = DEFAULT_RES,
-                           periodic: bool = True) -> CylinderConnection:
-    dt = 1.0 / (mt if periodic else mt - 1)
+def cylinder_from_function(fn, ns: int = DEFAULT_RES,
+                           mt: int = DEFAULT_RES) -> CylinderConnection:
+    dt = 1.0 / mt
     grid = np.stack([
         np.stack([np.asarray(fn(i / (ns - 1), j * dt), dtype=float)
                   for j in range(mt)])
         for i in range(ns)])
-    return CylinderConnection(grid, periodic=periodic)
+    return CylinderConnection(grid)
 
 
 def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnection:
@@ -383,8 +371,8 @@ def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnectio
 # the cylinder constructor from a nonpositive path
 
 
-def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
-                          periodic: bool = True,
+def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
+                          ns: int | None = None,
                           tol: float = 1e-9) -> CylinderConnection:
     """Nonnegatively curved connection whose s-loops have holonomy g(s).
 
@@ -396,6 +384,8 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
     dA/ds = Pi w gamma Pi^-1 from the a0 samples.  At t = 1 the transport
     recursion is the path recursion, so holonomies match exactly.
     """
+    if not isinstance(a0, LoopConnection):
+        raise TypeError(f"a0 must be a LoopConnection, not {type(a0).__name__}")
     if ns is not None and ns != path.n_steps + 1:
         if (ns - 1) % path.n_steps:
             raise ValueError("ns - 1 must be a multiple of the path step count")
@@ -406,28 +396,23 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
         raise NotNonpositive(
             f"path cocycles leave the nonpositive cone by {-worst:.3g}")
 
-    if periodic and not isinstance(a0, LoopConnection):
-        a0 = LoopConnection(np.asarray(a0, dtype=float))
-    a_start = a0.samples if periodic else np.asarray(a0, dtype=float)
-    m = len(a_start)
-    t_nodes = np.arange(m) / (m if periodic else m - 1)
     # the start transports at the m t nodes, and the a0 holonomy at t = 1
-    trans = cover_mod.left_products(sl2_exp(_step_logs(a_start, periodic)))
-    p_start, hol0 = trans[:m], trans[-1]
+    trans = cover_mod.left_products(sl2_exp(_step_logs(a0.samples)))
+    p_start, hol0 = trans[:-1], trans[-1]
     if psl_dist(hol0, path.nodes[0]) > 1e-6:
         raise HolonomyMismatch(
             f"a0 holonomy is {psl_dist(hol0, path.nodes[0]):.3g} from g(0)")
 
-    w = bump_weight(t_nodes)[:, None, None]
-    big_w = bump_cumulative(t_nodes)[:, None, None]
+    w = bump_weight(a0.times)[:, None, None]
+    big_w = bump_cumulative(a0.times)[:, None, None]
     n = path.n_steps
     h = path.h
     # row i + 1 holds the increment h half (w gamma_i) half^-1 until the
     # final running sum; the s-rows go through in blocks, so every block
     # takes its step exponentials in one call and the temporaries stay
     # a block deep
-    grid = np.empty((n + 1, len(t_nodes), 2, 2))
-    grid[0] = a_start
+    grid = np.empty((n + 1, a0.m, 2, 2))
+    grid[0] = a0.samples
     pis = np.empty((_ROW_BLOCK + 1,) + grid.shape[1:])
     pis[0] = p_start
     for lo in range(0, n, _ROW_BLOCK):
@@ -444,7 +429,7 @@ def from_nonpositive_path(path: GroupPath, a0, ns: int | None = None,
         rows *= h
         pis[0] = pis[k]
     np.add.accumulate(grid, axis=0, out=grid)
-    return CylinderConnection(grid, periodic=periodic)
+    return CylinderConnection(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +449,11 @@ def gauge(conn: CylinderConnection, phi: np.ndarray) -> CylinderConnection:
     if phi.shape != conn.grid.shape:
         raise ValueError("phi grid must match the connection grid")
     phi0 = phi[0]
-    new_grid = _regauge(phi0, phi0 @ conn.grid, conn.dt, conn.periodic)
+    new_grid = _regauge(phi0, phi0 @ conn.grid, conn.dt)
     # without a recorded frame (the identity) this is phi0 phi^-1
     lead = phi0 if conn.s_frame is None else phi0 @ conn.s_frame
     new_frame = lead @ mat_inv(phi)
-    return CylinderConnection(new_grid, periodic=conn.periodic,
-                              s_frame=new_frame)
+    return CylinderConnection(new_grid, s_frame=new_frame)
 
 
 def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
@@ -484,7 +468,7 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
         nodes = phi[:, 0]
     else:
         nodes = _interp_rows(phi, np.asarray(tau, dtype=float)[:, None],
-                             True, group=True)[:, 0]
+                             group=True)[:, 0]
     lift = _lift_of_frames(nodes)
     if psl_dist(lift.g.m, np.eye(2)) > 1e-6:
         raise ValueError("gauge map does not stabilize the crossing endpoints")
@@ -516,8 +500,8 @@ def rot_c(conn: CylinderConnection, tau: float,
     identity, classified with the band half-width tol.
     """
     tau = np.linspace(0.0, float(tau), conn.ns)
-    t = (tau % 1.0 if conn.periodic else tau)[:, None]
-    samples = _interp_rows(conn.grid, t, conn.periodic)[:, 0]
+    t = (tau % 1.0)[:, None]
+    samples = _interp_rows(conn.grid, t)[:, 0]
     # the midpoint rule along c, whose t-steps are diff(tau)
     lift = cover_mod.lift_of_products(
         0.5 * (samples[:-1] + samples[1:]) * np.diff(tau)[:, None, None])
@@ -525,7 +509,7 @@ def rot_c(conn: CylinderConnection, tau: float,
         # the geometric transport is G(u)^-1 P(u) with G = F F(0)^-1 up to
         # conjugation by the constant F(0), and the lift of a pointwise
         # product of paths is the product of their lifts
-        frames = _interp_rows(conn.s_frame, t, conn.periodic, group=True)[:, 0]
+        frames = _interp_rows(conn.s_frame, t, group=True)[:, 0]
         lift = cover_mod.compose(cover_mod.inverse(_lift_of_frames(frames)),
                                  lift)
 
@@ -548,15 +532,13 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     composing the recorded frames keeps rot_c honest, which then drops by
     the boundary rot.
     """
-    if not conn.periodic:
-        raise ValueError("the twist lives on the cylinder")
     ns = conn.ns
     svals = np.linspace(0.0, 1.0, ns)
     beta = smoothstep(svals)
     u = np.clip((svals - 0.25) * 2.0, 0.0, 1.0)
     dbeta = 60.0 * u ** 2 * (1.0 - u) ** 2  # exact beta'
     t_tw = (conn.t_nodes[None, :] - beta[:, None]) % 1.0
-    a_tw = _interp_rows(conn.grid, t_tw, True)
+    a_tw = _interp_rows(conn.grid, t_tw)
 
     # re-trivialize: dPsi/ds = -Psi A_s with A_s = -beta' A(s, t - beta),
     # Psi(0, .) = 1, midpoint rule, every step exponential in one call
@@ -573,15 +555,15 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     # the twisted grid is freed before the re-gauge allocates
     new_grid = psi @ a_tw
     del a_tw
-    new_grid = _regauge(psi, new_grid, conn.dt, True)
+    new_grid = _regauge(psi, new_grid, conn.dt)
 
     # the old frame at the twisted times, composed after psi; without a
     # recorded frame (the identity) the new frame is psi itself
     if conn.s_frame is None:
         new_frame = psi
     else:
-        new_frame = psi @ _interp_rows(conn.s_frame, t_tw, True, group=True)
-    return CylinderConnection(new_grid, periodic=True, s_frame=new_frame)
+        new_frame = psi @ _interp_rows(conn.s_frame, t_tw, group=True)
+    return CylinderConnection(new_grid, s_frame=new_frame)
 
 
 # ---------------------------------------------------------------------------

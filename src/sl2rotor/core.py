@@ -216,21 +216,15 @@ class ConjClassSpec:
                 IDENTITY_CLASS: "Identity"}[self.kind]
 
 
-def direction_form_values(m: np.ndarray, n: int = 360) -> np.ndarray:
-    """det(v, m v) on n unit directions v; the sign scan used by classify."""
-    phi = np.linspace(0.0, np.pi, n, endpoint=False)
-    x, y = np.cos(phi), np.sin(phi)
-    a, b, c, d = m.ravel()
-    return c * x * x + (d - a) * x * y - b * y * y
-
-
 def classify(g: GroupElement, tol: float = TAU_CLASS) -> ConjClassSpec:
     """Conjugacy class from |trace|, with oriented angle for elliptics.
 
     Elliptic elements rotate every direction the same way, so the sign of
     det(v, gv) at any v picks the representative conjugate to a
     counterclockwise rotation; theta = arccos of half its trace.
-    Parabolic sign comes from the same form on the trace-2 representative.
+    Parabolic sign comes from the same form on the trace-2 representative,
+    whose extremes over unit v are (c - b +- hypot(c + b, a - d)) / 2: one
+    of them vanishes on a parabolic, and the other is c - b.
     """
     m = g.m
     tr = g.trace
@@ -245,13 +239,14 @@ def classify(g: GroupElement, tol: float = TAU_CLASS) -> ConjClassSpec:
         return ConjClassSpec.hyperbolic((at + np.sqrt(at * at - 4.0)) / 2.0)
     if psl_dist(m, IDENTITY) <= tol:
         return ConjClassSpec.identity()
-    mp = m if tr >= 0 else -m
-    vals = direction_form_values(mp)
-    lo, hi = float(vals.min()), float(vals.max())
-    if max(abs(lo), abs(hi)) <= tol:
+    a, b, c, d = (m if tr >= 0 else -m).ravel()
+    # the two extremes of the form sum to s and differ by r
+    s, r = float(c - b), float(np.hypot(c + b, a - d))
+    if abs(s) + r <= 2.0 * tol:  # both extremes within tol of 0
         raise DegenerateClassification(
-            f"parabolic sign scan inconclusive: form range [{lo}, {hi}]")
-    return ConjClassSpec.parabolic(nonneg=(abs(hi) >= abs(lo)))
+            f"parabolic sign inconclusive: form range [{(s - r) / 2}, "
+            f"{(s + r) / 2}]")
+    return ConjClassSpec.parabolic(nonneg=s >= 0.0)
 
 
 def cone_test(gamma: LieElement, tol: float = TAU_CLASS) -> str:
@@ -292,10 +287,10 @@ def random_lie(rng: np.random.Generator, scale: float = 0.7) -> np.ndarray:
     return np.array([[a, b], [c, -a]])
 
 
-def random_in_class(spec: ConjClassSpec, seed, spread: float = 0.7) -> GroupElement:
+def random_in_class(spec: ConjClassSpec, seed) -> GroupElement:
     """Seeded conjugate h rep(spec) h^-1; the class is preserved exactly."""
     rng = np.random.default_rng(seed)
-    h = sl2_exp(random_lie(rng, spread))
+    h = sl2_exp(random_lie(rng))
     rep = canonical_rep(spec).m
     hinv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]])
     return GroupElement(h @ rep @ hinv)

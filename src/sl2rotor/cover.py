@@ -32,6 +32,9 @@ from .core import (
 PI = np.pi
 # factors per block of the blocked scan in left_products
 _SCAN_BLOCK = 64
+# how far a walked or tracked angle that belongs on the deck lattice pi Z
+# may sit from it before the lift counts as degenerate
+_DECK_SNAP = 1e-6
 
 
 class ParityUndefined(ArithmeticError):
@@ -51,6 +54,15 @@ def _angles_along(ms: np.ndarray, x: np.ndarray) -> np.ndarray:
     wx = ms[..., 0, 0] * c + ms[..., 0, 1] * s
     wy = ms[..., 1, 0] * c + ms[..., 1, 1] * s
     return np.arctan2(wy, wx)
+
+
+def _deck_index(x: float, what: str) -> int:
+    """The k with x = k pi up to _DECK_SNAP; DegenerateClassification if none."""
+    k = round(x / PI)
+    if abs(x - k * PI) > _DECK_SNAP:
+        raise DegenerateClassification(
+            f"{what} {x} is {x - k * PI} from a multiple of pi")
+    return k
 
 
 def _wrap_increments(d: np.ndarray) -> np.ndarray:
@@ -113,10 +125,7 @@ def compose(l1: LiftedElement, l2: LiftedElement) -> LiftedElement:
     # snap to an exact lift of the product's principal angle; the walk
     # only contributes rounding noise here
     a0 = act_angle(g, 0.0)
-    k = round((raw - a0) / PI)
-    if abs(raw - a0 - k * PI) > 1e-6:
-        raise DegenerateClassification(
-            f"composed anchor {raw} drifted {raw - a0 - k * PI} from a lift")
+    k = _deck_index(raw - a0, "composed anchor offset")
     return LiftedElement(g, a0 + k * PI)
 
 
@@ -125,10 +134,7 @@ def inverse(lift: LiftedElement) -> LiftedElement:
     ginv = lift.g.inv()
     a = act_angle(ginv, 0.0)
     # g maps direction a to direction 0, hence f(a) is an exact multiple of pi
-    fa = eval_lift(lift, a)
-    k = round(fa / PI)
-    if abs(fa - k * PI) > 1e-6:
-        raise DegenerateClassification(f"inverse anchor residual {fa - k * PI}")
+    k = _deck_index(eval_lift(lift, a), "inverse anchor image")
     return LiftedElement(ginv, a - k * PI)
 
 
@@ -171,12 +177,8 @@ def rot(lift: LiftedElement) -> float:
         lam = (tr + np.sqrt(max(tr * tr - 4.0, 0.0))) / 2.0
         v = kernel_vector(m - lam * np.eye(2))
         x0 = float(np.arctan2(v[1], v[0]))
-    d = eval_lift(lift, x0) - x0
-    n = round(d / PI)
-    if abs(d - n * PI) > 1e-6:
-        raise DegenerateClassification(
-            f"fixed-direction displacement {d} is {d - n * PI} from a pi multiple")
-    return float(n)
+    return float(_deck_index(eval_lift(lift, x0) - x0,
+                             "fixed-direction displacement"))
 
 
 def rot_iterative(lift: LiftedElement, k: int = 64) -> float:
@@ -260,10 +262,7 @@ def track_lift_along(nodes: np.ndarray) -> LiftedElement:
     val = a[0] % PI + float(_wrap_increments(a[1:] - a[:-1]).sum())
     g = GroupElement(nodes[-1])
     e = act_angle(g, 0.0) % PI  # anchor of the standard lift of the end
-    n = round((val - e) / PI)
-    if abs(val - e - n * PI) > 1e-6:
-        raise DegenerateClassification(
-            f"endpoint lift residual {val - e - n * PI} after tracking")
+    n = _deck_index(val - e, "tracked endpoint offset")
     return LiftedElement(g, e + n * PI)
 
 

@@ -122,9 +122,8 @@ class GroupPath:
         """log(g_{i+1} g_i^-1) / h: midpoint values of g' g^-1."""
         return self._log_steps(left=False) / self.h
 
-    def margins(self, side: str = "right") -> np.ndarray:
-        cocycles = self.left_cocycles() if side == "left" else self.right_cocycles()
-        return cone_margins(cocycles)
+    def margins(self) -> np.ndarray:
+        return cone_margins(self.right_cocycles())
 
     def is_nonneg(self, tol: float = 1e-9) -> bool:
         return bool(self.margins().min() >= -tol)

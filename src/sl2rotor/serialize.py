@@ -44,8 +44,9 @@ def loop_to_obj(a: LoopConnection) -> dict:
 
 
 def cylinder_to_obj(c: CylinderConnection) -> dict:
+    # "periodic" stays in the format: every cylinder's t-axis is a circle
     obj = {"kind": "cylinder-connection", "ns": c.ns, "mt": c.mt,
-           "periodic": c.periodic, "data": _encode(c.grid),
+           "periodic": True, "data": _encode(c.grid),
            "s_frame": None}
     if c.s_frame is not None:
         obj["s_frame"] = _encode(c.s_frame)
@@ -63,10 +64,13 @@ def obj_to_artifact(obj: dict):
         if kind == "loop-connection":
             return LoopConnection(_decode(obj["data"], (obj["m"], 2, 2)))
         if kind == "cylinder-connection":
+            if obj["periodic"] is not True:
+                raise ParseError("cylinder artifacts must be periodic, got "
+                                 f"'periodic': {obj['periodic']!r}")
             shape = (obj["ns"], obj["mt"], 2, 2)
             frame = obj.get("s_frame")
             return CylinderConnection(
-                _decode(obj["data"], shape), periodic=bool(obj["periodic"]),
+                _decode(obj["data"], shape),
                 s_frame=None if frame is None else _decode(frame, shape))
         if kind == "unit-path":
             return {"g1": obj_to_artifact(obj["g1"]),
@@ -79,8 +83,13 @@ def obj_to_artifact(obj: dict):
     raise ParseError(f"unknown artifact kind {kind!r}")
 
 
+def dumps_json(obj) -> str:
+    """The one JSON text form of artifacts and reports: sorted keys, indent 1."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
 def dump_json(obj, fp_or_path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    text = dumps_json(obj)
     if hasattr(fp_or_path, "write"):
         fp_or_path.write(text)
     else:

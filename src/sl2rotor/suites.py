@@ -28,6 +28,7 @@ from .core import (
     sl2_exp,
     sl2_log,
 )
+from .serialize import obj_to_artifact
 
 BOUNDARY_CONVENTION = ("rot_dS = rot(l1) - rot(l0); the s = 0 circle is "
                        "orientation-reversed; transport dPi/dt Pi^-1 = A")
@@ -593,8 +594,6 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
 
 def verify_artifact(obj: dict) -> dict:
     """Re-check the claims stored alongside a built artifact."""
-    from .serialize import obj_to_artifact
-
     art = obj_to_artifact(obj)
     claims = obj.get("claims", {})
     checks = {}

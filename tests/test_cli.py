@@ -239,6 +239,23 @@ def test_verify_rejects_two_row_cylinder(capsys, tmp_path):
         "(Ns, Mt, 2, 2) grid with Ns >= 3")
 
 
+def test_verify_rejects_square_cylinder(capsys, tmp_path):
+    # every cylinder's t-axis is a circle
+    loop = cx.winding_loop(1, [[0.1, 0.0], [0.0, -0.1]], 16)
+    obj = cylinder_to_obj(cx.pullback_flat(loop, 3))
+    obj["periodic"] = False
+    obj["claims"] = {"nonneg_curved": True}
+    f = tmp_path / "art.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ParseError: cylinder artifacts must be periodic, got "
+                 "'periodic': False",
+        "passed": False}
+    assert "periodic" in err
+
+
 def test_unknown_build_parameter(capsys, tmp_path):
     f = tmp_path / "x.json"
     code, _, err = run(capsys, "build", "spiral-path", "bogus=1", "--out", str(f))

@@ -166,6 +166,12 @@ def test_constructor_rejects_wrong_start_holonomy():
         cx.from_nonpositive_path(p, bad)
 
 
+def test_constructor_takes_only_loop_starts():
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8))
+    with pytest.raises(TypeError):
+        cx.from_nonpositive_path(p, a0.samples)
+
+
 def test_constructor_refines_to_requested_ns():
     p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24)
     conn = cx.from_nonpositive_path(p, a0, ns=49)
@@ -174,20 +180,14 @@ def test_constructor_refines_to_requested_ns():
         cx.from_nonpositive_path(p, a0, ns=50)  # 49 steps not a multiple of 24
 
 
-def constructor_reference(path, a0, ns=None, periodic=True):
+def constructor_reference(path, a0, ns=None):
     """The cylinder constructor stepped one s-row at a time, with the
     exponentials and the trace projection assembled from broadcast
     identities."""
     if ns is not None and ns != path.n_steps + 1:
         path = path.refine((ns - 1) // path.n_steps)
     gammas = path.left_cocycles()
-    if periodic:
-        a_start, p_start, t_nodes = a0.samples, a0.transports[:-1], a0.times
-    else:
-        a_start = np.asarray(a0, dtype=float)
-        mid = 0.5 * (a_start[:-1] + a_start[1:]) / (len(a_start) - 1)
-        p_start = cover.left_products(sl2_exp(mid))
-        t_nodes = np.arange(len(a_start)) / (len(a_start) - 1)
+    a_start, p_start, t_nodes = a0.samples, a0.transports[:-1], a0.times
     w = cx.bump_weight(t_nodes)
     big_w = cx.bump_cumulative(t_nodes)
     h = path.h
@@ -204,21 +204,23 @@ def constructor_reference(path, a0, ns=None, periodic=True):
 
 
 # step counts below, at and one above the constructor's row block, and
-# one that is no multiple of it; the last two refine a 24-step path
+# one that is no multiple of it; the last two refine a 24-step path.  The
+# "-True" in the ids is the periodic flag these cases carried while rows
+# could also be square; it keeps each case under its name
 @pytest.mark.parametrize("n_steps,ns", [(31, None), (32, None), (33, None),
                                         (45, None), (24, 73), (24, 97)])
-@pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("start", ["hyperbolic", "elliptic"])
-def test_constructor_matches_per_row_reference(n_steps, ns, periodic, start):
+@pytest.mark.parametrize("start", ["hyperbolic", "elliptic"],
+                         ids=["hyperbolic-True", "elliptic-True"])
+def test_constructor_matches_per_row_reference(n_steps, ns, start):
     g0 = (GroupElement.diagonal(1.8) if start == "hyperbolic"
           else GroupElement(rotation(1.1)))
     p, a0 = exp_family(cone_gamma(), g0, n_steps=n_steps, mt=40)
     samples = a0.samples.copy()
     if start == "hyperbolic":  # log of a diagonal: zeros, here signed
         samples[:, 0, 1] = samples[:, 1, 0] = -0.0
-    a0 = cx.LoopConnection(samples) if periodic else samples
-    got = cx.from_nonpositive_path(p, a0, ns=ns, periodic=periodic)
-    want = constructor_reference(p, a0, ns=ns, periodic=periodic)
+    a0 = cx.LoopConnection(samples)
+    got = cx.from_nonpositive_path(p, a0, ns=ns)
+    want = constructor_reference(p, a0, ns=ns)
     assert got.ns == (n_steps + 1 if ns is None else ns)
     assert_bits_equal(got.grid, want)
 
@@ -234,17 +236,16 @@ def test_rows_and_loops_share_one_step_rule(mt):
                           cx.LoopConnection(conn.grid[i]).holonomy().m)
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_constructor_tracks_no_lift(periodic, monkeypatch):
+@pytest.mark.parametrize("mt", [40], ids=["True"])  # the id keeps the name
+def test_constructor_tracks_no_lift(mt, monkeypatch):
     # the start transports are products of step exponentials alone
     p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
-                       mt=40)
+                       mt=mt)
     calls = []
     monkeypatch.setattr(cover, "track_lift_along",
                         lambda nodes, real=cover.track_lift_along:
                         calls.append(len(nodes)) or real(nodes))
-    cx.from_nonpositive_path(p, a0 if periodic else a0.samples,
-                             periodic=periodic)
+    cx.from_nonpositive_path(p, a0)
     assert calls == []
 
 
@@ -280,7 +281,7 @@ def test_gauge_shifts_rot_c_by_crossing_class():
 def gauge_reference(conn, phi):
     """Gauge grid and frame, with a broadcast identity for no frame."""
     phi0 = phi[0]
-    dphi0 = cx._dt_of_grid(phi0, conn.dt, conn.periodic)
+    dphi0 = cx._dt_of_grid(phi0, conn.dt, True)
     inv0 = mat_inv(phi0)
     grid = project_reference(phi0 @ conn.grid @ inv0 + (dphi0 @ inv0)[None])
     old = conn.s_frame if conn.s_frame is not None else np.broadcast_to(
@@ -351,42 +352,36 @@ def test_rot_c_needs_hyperbolic_ends_in_integer_mode():
 # row sampling
 
 
-def interp_reference(row, t, periodic, group):
+def interp_reference(row, t, group):
     """One sample of one row, as the per-sample samplers computed it."""
     m = len(row)
-    n = m if periodic else m - 1
-    x = t * n if group else t / (1.0 / n)
+    x = t * m if group else t / (1.0 / m)
     j = int(np.floor(x))
     frac = x - j
-    if periodic:
-        j0, j1 = j % m, (j + 1) % m
-    else:
-        j0 = min(max(j, 0), m - 1)
-        j1 = min(j0 + 1, m - 1)
+    j0, j1 = j % m, (j + 1) % m
     a, b = row[j0], row[j1]
     if group and np.sum(a * b) < 0:
         b = -b
     return (1.0 - frac) * a + frac * b
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("group", [False, True])
-def test_interp_rows_matches_per_sample_reference(periodic, group):
-    rng = np.random.default_rng([5, periodic, group])
+# ids as for the constructor cases: group, then the periodic flag
+@pytest.mark.parametrize("group", [False, True],
+                         ids=["False-True", "True-True"])
+def test_interp_rows_matches_per_sample_reference(group):
+    rng = np.random.default_rng([5, 1, group])
     rows = rng.normal(size=(4, 12, 2, 2))
     m = rows.shape[1]
-    n = m if periodic else m - 1
-    special = [0.0, 1.0, 3.0 / n, 7.0 / n, np.nextafter(1.0, 0.0),
-               1.0 + 1e-13, -1e-13, -0.3, 1.7]
-    if periodic:
-        special += [-1.0, -2.0 + 0.25, 2.0, 2.5, 1e6 + 0.3]
+    special = [0.0, 1.0, 3.0 / m, 7.0 / m, np.nextafter(1.0, 0.0),
+               1.0 + 1e-13, -1e-13, -0.3, 1.7,
+               -1.0, -2.0 + 0.25, 2.0, 2.5, 1e6 + 0.3]
     t = np.concatenate([np.tile(special, (4, 1)),
                         rng.uniform(-1.5, 2.5, size=(4, 30))], axis=1)
-    got = cx._interp_rows(rows, t, periodic, group=group)
+    got = cx._interp_rows(rows, t, group=group)
     assert got.shape == t.shape + (2, 2)
     for i in range(len(rows)):
         for k in range(t.shape[1]):
-            want = interp_reference(rows[i], t[i, k], periodic, group)
+            want = interp_reference(rows[i], t[i, k], group)
             assert np.array_equal(got[i, k], want), (i, t[i, k])
 
 
@@ -394,7 +389,7 @@ def test_interp_rows_rejects_nonfinite_times():
     rows = np.zeros((2, 8, 2, 2))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            cx._interp_rows(rows, np.array([[0.5], [bad]]), True)
+            cx._interp_rows(rows, np.array([[0.5], [bad]]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +405,7 @@ def twist_reference(conn):
     dbeta = 60.0 * u ** 2 * (1.0 - u) ** 2
     times = [[float((tj - beta[i]) % 1.0) for tj in conn.t_nodes]
              for i in range(ns)]
-    a_tw = np.array([[interp_reference(conn.grid[i], t, True, False)
+    a_tw = np.array([[interp_reference(conn.grid[i], t, False)
                       for t in times[i]] for i in range(ns)])
     a_s = -dbeta[:, None, None, None] * a_tw
     psi = np.empty_like(a_tw)
@@ -426,7 +421,7 @@ def twist_reference(conn):
     if conn.s_frame is None:
         old = np.broadcast_to(np.eye(2), a_tw.shape)
     else:
-        old = np.array([[interp_reference(conn.s_frame[i], t, True, True)
+        old = np.array([[interp_reference(conn.s_frame[i], t, True)
                          for t in times[i]] for i in range(ns)])
     return cx.CylinderConnection(grid, s_frame=psi @ old)
 

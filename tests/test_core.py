@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sl2rotor.core import (
     ConjClassSpec,
+    DegenerateClassification,
     GroupElement,
     LieElement,
     NonUnimodular,
@@ -56,6 +57,61 @@ def test_classify_parabolic_signs():
     upper = classify(GroupElement(np.array([[1.0, 1.0], [0.0, 1.0]])))
     assert lower.kind == "parabolic_nonneg"
     assert upper.kind == "parabolic_nonpos"
+
+
+def parabolic_scan_reference(g: GroupElement, tol: float):
+    """The parabolic sign as a scan of det(v, m v) over 360 directions v,
+    m the positive-trace representative; None where the scan is
+    inconclusive."""
+    m = g.m if g.trace >= 0 else -g.m
+    phi = np.linspace(0.0, np.pi, 360, endpoint=False)
+    x, y = np.cos(phi), np.sin(phi)
+    a, b, c, d = m.ravel()
+    vals = c * x * x + (d - a) * x * y - b * y * y
+    lo, hi = float(vals.min()), float(vals.max())
+    if max(abs(lo), abs(hi)) <= tol:
+        return None
+    return "parabolic_nonneg" if abs(hi) >= abs(lo) else "parabolic_nonpos"
+
+
+def classify_or_none(g: GroupElement, tol: float):
+    try:
+        return classify(g, tol).kind
+    except DegenerateClassification:
+        return None
+
+
+def test_parabolic_sign_matches_direction_scan():
+    tol = 1e-9
+    compared = 0
+    for k in (1.0, 10.0, 100.0, 1e3):
+        for phi in np.linspace(0.0, np.pi, 7, endpoint=False):
+            h = np.diag([k, 1.0 / k]) @ rotation(phi)
+            for shear in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2):
+                for lower in (True, False):
+                    rep = np.eye(2)
+                    rep[(1, 0) if lower else (0, 1)] = shear
+                    for sign in (1.0, -1.0):
+                        g = GroupElement(sign * conj_by(h, rep))
+                        if abs(abs(g.trace) - 2.0) > tol or \
+                                psl_dist(g.m, np.eye(2)) <= tol:
+                            continue  # the sign is not asked for
+                        compared += 1
+                        want = parabolic_scan_reference(g, tol)
+                        assert classify_or_none(g, tol) == want, \
+                            (k, phi, shear, lower, sign)
+    assert compared > 500
+
+
+def test_parabolic_sign_refuses_where_the_scan_does():
+    # |extremes| of the form reach only 0.9 tol: both forms must refuse
+    tol = 1e-9
+    x = 0.9 * tol
+    g = GroupElement(np.diag([1.0 + x, 1.0 / (1.0 + x)]))
+    assert abs(g.trace - 2.0) <= tol and psl_dist(g.m, np.eye(2)) > tol
+    assert parabolic_scan_reference(g, tol) is None
+    with pytest.raises(DegenerateClassification):
+        classify(g, tol)
 
 
 def test_classify_identity_both_signs():
