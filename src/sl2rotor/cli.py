@@ -8,6 +8,7 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -286,6 +287,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default=None)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2rotor",

@@ -340,6 +340,9 @@ class CylinderConnection:
         return cover_mod.lift_of_products(_step_logs(self.grid[i]))
 
     def boundary_loop(self, end: int) -> LoopConnection:
+        """The loop at s = 0 (end 0) or s = 1 (end 1)."""
+        if end not in (0, 1):
+            raise ValueError(f"boundary end must be 0 or 1, got {end!r}")
         return LoopConnection(self.grid[0 if end == 0 else -1])
 
     # -- boundary rotation ----------------------------------------------

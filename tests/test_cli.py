@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from sl2rotor import cli
 from sl2rotor import connections as cx
 from sl2rotor import cover
 from sl2rotor.cli import entry
-from sl2rotor.serialize import cylinder_to_obj, loop_to_obj
+from sl2rotor.serialize import _decode, cylinder_to_obj, loop_to_obj
 
 HYP = "[[2, 0], [0, 0.5]]"
 
@@ -267,6 +268,92 @@ def test_unknown_build_kind(capsys, tmp_path):
     code = entry(["build", "nonsense", "--out", str(tmp_path / "x.json")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("field, value, says", [
+    ("data", "0" * 16, "list of strings"), ("m", True, "'m' must be")])
+def test_verify_rejects_mistyped_loop_fields(capsys, tmp_path, field, value,
+                                             says):
+    obj = {"kind": "loop-connection", "m": 4, "data": ["0x0.0p+0"] * 16,
+           "claims": {"rot": 0.0}}
+    f = tmp_path / "loop.json"
+    f.write_text(json.dumps(obj))
+    assert run(capsys, "verify", "--artifact", str(f))[0] == 0
+    obj[field] = value
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out)["passed"] is False
+    assert says in err
+
+
+def test_one_parser_serves_a_process(capsys, tmp_path):
+    # a usage error, a build and a verify through the cached parser give
+    # what a fresh parser for each call gives, files included
+    argvs = [["build", "spiral-path", "--bogus", "--out", "{f}"],
+             ["build", "spiral-path", "r=1", "--res", "24", "--out", "{f}"],
+             ["verify", "--artifact", "{f}"]]
+
+    def session(tag, fresh):
+        (tmp_path / tag).mkdir()
+        f = tmp_path / tag / "spiral.json"
+        runs = []
+        for argv in argvs:
+            if fresh:
+                cli._make_parser.cache_clear()
+            code, out, err = run(capsys, *[a.format(f=f) for a in argv])
+            runs.append((code, out.replace(tag, "X"), err))
+        return runs, f.read_bytes()
+
+    cli._make_parser.cache_clear()
+    cached = session("cached", fresh=False)
+    assert cli._make_parser.cache_info().misses == 1
+    assert [code for code, _, _ in cached[0]] == [2, 0, 0]
+    assert "unrecognized arguments: --bogus" in cached[0][0][2]
+    assert session("fresh", fresh=True) == cached
+
+
+BUILDS = [
+    ("spiral-path", ["r=2"]),
+    ("elliptic-path", []),
+    ("hyperbolic-path", ["invert=true"]),
+    ("unit-path", ["lam_target=2.0", "lam=2.6"]),
+    ("cylinder", ["src={hyperbolic-path}"]),
+    ("cover", ["mu=3"]),
+]
+
+
+def payloads(obj):
+    """(data list, shape) of every hex payload in an artifact object."""
+    if obj["kind"] == "unit-path":
+        return payloads(obj["g1"]) + payloads(obj["k"])
+    if obj["kind"] == "group-path":
+        return [(obj["data"], (obj["n"] + 1, 2, 2))]
+    if obj["kind"] == "loop-connection":
+        return [(obj["data"], (obj["m"], 2, 2))]
+    shape = (obj["ns"], obj["mt"], 2, 2)
+    return [(obj[key], shape) for key in ("data", "s_frame")
+            if obj[key] is not None]
+
+
+def test_build_output_matches_the_stdlib_format(capsys, tmp_path):
+    # writer drift shows without golden files: each artifact is the
+    # json.dumps text of itself, and each payload is float.hex of its array
+    files = {}
+    for kind, params in BUILDS:
+        f = files[kind] = tmp_path / f"{kind}.json"
+        params = [p.format(**files) for p in params]
+        code, _, err = run(capsys, "build", kind, *params, "--res", "24",
+                           "--out", str(f))
+        assert code == 0, err
+        text = f.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        found = payloads(obj)
+        assert found
+        for data, shape in found:
+            back = _decode(data, shape)
+            assert data == [float.hex(float(v)) for v in back.ravel()]
 
 
 def test_build_examples_compare(tmp_path, monkeypatch, capsys):

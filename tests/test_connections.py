@@ -136,6 +136,13 @@ def test_boundary_loops():
     assert ell0.rot() == ell1.rot() == 1.0
 
 
+@pytest.mark.parametrize("end", [5, -3, 0.5, 2, -1])
+def test_boundary_loop_takes_only_the_two_ends(end):
+    conn = cx.pullback_flat(cx.winding_loop(1, GAMMA_H, 16), 5)
+    with pytest.raises(ValueError, match="0 or 1"):
+        conn.boundary_loop(end)
+
+
 # ---------------------------------------------------------------------------
 # the nonpositive-path constructor
 

@@ -4,13 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2rotor import connections as cx
 from sl2rotor.paths import spiral_path
 from sl2rotor.serialize import (
     ParseError,
+    _decode,
+    _encode,
     cylinder_to_obj,
     dump_json,
+    dumps_json,
     load_artifact,
     load_obj,
     loop_to_obj,
@@ -116,3 +121,158 @@ def test_hex_floats_survive_json_text(tmp_path):
     parsed = json.loads(f.read_text())
     back = obj_to_artifact(parsed)
     assert np.array_equal(back.samples, vals)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised hex encoder and the direct JSON writer against the stdlib
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+            2.2250738585072014e-308, -2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0,
+            0.5, 2.0 ** -1074 * 12345, 1e-320, 2.0 ** 1023, np.pi]
+
+
+def float_hex(values) -> list[str]:
+    return [float.hex(float(v)) for v in np.asarray(values).ravel()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=300),
+       st.lists(st.sampled_from(EXTREMES), max_size=20))
+def test_encode_matches_float_hex(patterns, extremes):
+    vals = np.array(patterns, dtype=np.uint64).view(float)
+    vals = np.concatenate([vals[np.isfinite(vals)], extremes])
+    assert _encode(vals) == float_hex(vals)
+
+
+def test_encode_covers_every_exponent_and_keeps_shape_order():
+    # one value per biased exponent 0..2046, both signs, plus zeros
+    bits = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    vals = (bits | np.uint64(0x000F00000000000A)).view(float)
+    vals = np.concatenate([vals, -vals, [0.0, -0.0]])
+    assert _encode(vals) == float_hex(vals)
+    grid = vals[:24].reshape(2, 3, 2, 2)
+    assert _encode(grid) == float_hex(grid)
+    assert _encode(np.zeros((0, 2, 2))) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        _encode(np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("data, shape, text", [
+    (["0x1.0p+0", "zz"], (2,),
+     "bad hex float payload: invalid hexadecimal floating-point string"),
+    (["0x1.0p+0", 3], (2,),
+     "bad hex float payload: bad argument type for built-in operation"),
+    (["0x1.0p+0"] * 3, (2, 2), "payload length 3 does not match (2, 2)"),
+])
+def test_decode_keeps_its_error_texts(data, shape, text):
+    with pytest.raises(ParseError) as info:
+        _decode(data, shape)
+    assert str(info.value) == text
+
+
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9",
+                          "\u2028", "\U0001f600", "x", " "])
+STRINGS = st.text(st.one_of(TRICKY, st.characters()), max_size=8)
+PLAIN = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                max_size=8)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    STRINGS)
+KEYS = st.one_of(STRINGS, st.integers(), st.floats(), st.booleans())
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(PLAIN, max_size=6),
+        st.dictionaries(STRINGS, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(st.floats(), children, max_size=4),
+        # bool keys sort among ints and are written true and false
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), children,
+                        max_size=4),
+        # mixed key types: sorting them may fail, the same way in both
+        st.dictionaries(KEYS, children, max_size=3))
+
+
+JSON_TREES = st.recursive(SCALARS, containers, max_leaves=25)
+
+
+def stdlib_text(obj):
+    try:
+        return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    except TypeError as exc:
+        return type(exc)
+
+
+def writer_text(obj):
+    try:
+        return dumps_json(obj)
+    except TypeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_dumps_json_matches_json_dumps(obj):
+    assert writer_text(obj) == stdlib_text(obj)
+
+
+UNSUPPORTED = st.sampled_from([object(), {1, 2}, b"bytes", 1j,
+                               np.int64(3), np.bool_(True), Ellipsis])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(st.one_of(SCALARS, UNSUPPORTED), containers,
+                    max_leaves=10))
+def test_dumps_json_refuses_what_json_dumps_refuses(obj):
+    assert writer_text(obj) == stdlib_text(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), [1, {"a": [object()]}], {(1, 2): 3}, {"a": 1, 2: "b"},
+    np.int64(3), {"x": {1, 2}}])
+def test_dumps_json_type_errors(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=1)
+    with pytest.raises(TypeError):
+        dumps_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# payload and shape-field types
+
+
+@pytest.mark.parametrize("obj", [
+    # a string payload would parse one character per float
+    {"kind": "loop-connection", "m": 4, "data": "0" * 16},
+    {"kind": "loop-connection", "m": 1, "data": {"0x0.0p+0": 1}},
+    {"kind": "loop-connection", "m": 1, "data": [0, 0, 0, 0]},
+    {"kind": "loop-connection", "m": True, "data": ["0x0.0p+0"] * 4},
+    {"kind": "loop-connection", "m": 1.0, "data": ["0x0.0p+0"] * 4},
+    {"kind": "group-path", "n": True,
+     "data": [float(1.0).hex(), "0x0.0p+0", "0x0.0p+0",
+              float(1.0).hex()] * 2},
+    {"kind": "group-path", "n": "1", "data": ["0x0.0p+0"] * 8},
+    {"kind": "cylinder-connection", "ns": True, "mt": 16, "periodic": True,
+     "data": ["0x0.0p+0"] * 64, "s_frame": None},
+    {"kind": "cylinder-connection", "ns": 1, "mt": False, "periodic": True,
+     "data": [], "s_frame": None},
+    {"kind": "cylinder-connection", "ns": 2, "mt": 16, "periodic": True,
+     "data": ["0x0.0p+0"] * 128, "s_frame": "0" * 128},
+], ids=["str-data", "dict-data", "number-data", "bool-m", "float-m",
+        "bool-n", "str-n", "bool-ns", "bool-mt", "str-s_frame"])
+def test_obj_to_artifact_checks_field_types(obj):
+    with pytest.raises(ParseError):
+        obj_to_artifact(obj)
+
+
+def test_well_typed_zero_loop_still_loads():
+    obj = {"kind": "loop-connection", "m": 4, "data": ["0x0.0p+0"] * 16}
+    assert np.array_equal(obj_to_artifact(obj).samples, np.zeros((4, 2, 2)))
