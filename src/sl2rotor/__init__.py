@@ -86,7 +86,6 @@ from .paths import (
     elliptic_about,
     elliptic_itinerary_path,
     hyperbolic_itinerary_path,
-    is_nonnegative,
     make_positive,
     spiral_path,
     three_classes_triple,

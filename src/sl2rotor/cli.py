@@ -48,22 +48,20 @@ USAGE_ERRORS = (ParseError, NonUnimodular, UnknownSuite,
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
     kw = {}
     if getattr(args, "seed", None) is not None:
         kw["seed"] = args.seed
     if getattr(args, "tol", None) is not None:
-        # --tol drives the comparison tolerances; the cone-margin slack
-        # stays a separate knob with its default
+        # --tol sets the class band and the parity bound; the cone and
+        # flatness slacks are core's fixed MARGIN
         kw["tau_class"] = args.tol
-        kw["eps_eq"] = args.tol
     if getattr(args, "res", None) is not None:
         kw["n"] = args.res
         kw["ns"] = args.res
         kw["mt"] = args.res
     if getattr(args, "format", None) is not None:
         kw["fmt"] = args.format
-    return cfg.with_updates(**kw)
+    return RunConfig(**kw)
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
@@ -281,7 +279,7 @@ def cmd_build(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--tol", type=float, default=None,
-                     help="classification/equality tolerance")
+                     help="classification tolerance and parity bound")
     sub.add_argument("--res", type=int, default=None,
                      help="path and grid resolution")
     sub.add_argument("--format", choices=("json", "csv"), default=None)

@@ -27,8 +27,12 @@ import numpy as np
 
 from . import cover as cover_mod
 from .core import (
+    EPS_EQ,
     GroupElement,
+    HOLONOMY_SNAP,
     LieElement,
+    MARGIN,
+    PATH_CONE_SLACK,
     TAU_CLASS,
     classify,
     cone_margins,
@@ -319,17 +323,12 @@ class CylinderConnection:
         """-dA/ds: central differences inside, 2nd-order one-sided at ends."""
         return -_dt_of_grid(self.grid, self.ds, False)
 
-    def curvature(self, i: int, j: int) -> LieElement:
-        return LieElement(self.curvature_grid[i, j])
-
     def curvature_margins(self) -> np.ndarray:
         return cone_margins(self.curvature_grid)
 
-    def is_nonneg_curved(self, margin: float = 1e-8) -> bool:
-        return bool(self.curvature_margins().min() >= -margin)
-
-    def is_flat(self, tol: float = 1e-8) -> bool:
-        return bool(np.linalg.norm(self.curvature_grid, axis=(2, 3)).max() <= tol)
+    def is_flat(self) -> bool:
+        return bool(np.linalg.norm(self.curvature_grid, axis=(2, 3)).max()
+                    <= MARGIN)
 
     # -- t-transport ---------------------------------------------------
 
@@ -375,8 +374,7 @@ def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnectio
 
 
 def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
-                          ns: int | None = None,
-                          tol: float = 1e-9) -> CylinderConnection:
+                          ns: int | None = None) -> CylinderConnection:
     """Nonnegatively curved connection whose s-loops have holonomy g(s).
 
     The input path must be nonpositive (left cocycles in the nonpositive
@@ -395,14 +393,14 @@ def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
         path = path.refine((ns - 1) // path.n_steps)
     gammas = path.left_cocycles()
     worst = cone_margins(-gammas).min()
-    if worst < -tol:
+    if worst < -PATH_CONE_SLACK:
         raise NotNonpositive(
             f"path cocycles leave the nonpositive cone by {-worst:.3g}")
 
     # the start transports at the m t nodes, and the a0 holonomy at t = 1
     trans = cover_mod.left_products(sl2_exp(_step_logs(a0.samples)))
     p_start, hol0 = trans[:-1], trans[-1]
-    if psl_dist(hol0, path.nodes[0]) > 1e-6:
+    if psl_dist(hol0, path.nodes[0]) > HOLONOMY_SNAP:
         raise HolonomyMismatch(
             f"a0 holonomy is {psl_dist(hol0, path.nodes[0]):.3g} from g(0)")
 
@@ -473,7 +471,7 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
         nodes = _interp_rows(phi, np.asarray(tau, dtype=float)[:, None],
                              group=True)[:, 0]
     lift = _lift_of_frames(nodes)
-    if psl_dist(lift.g.m, np.eye(2)) > 1e-6:
+    if psl_dist(lift.g.m, np.eye(2)) > HOLONOMY_SNAP:
         raise ValueError("gauge map does not stabilize the crossing endpoints")
     return int(round(cover_mod.rot(lift)))
 
@@ -591,7 +589,7 @@ class PantsHolonomyData:
         if self.l0 is None:
             object.__setattr__(self, "l0", prod)
         else:
-            if not self.l0.g.close_to(prod.g, 1e-9):
+            if psl_dist(self.l0.g.m, prod.g.m) > EPS_EQ:
                 raise ValueError("l0 does not project to the product g1 g2")
 
     @property
@@ -605,20 +603,20 @@ class PantsHolonomyData:
                 + cover_mod.rot(self.l2))
 
 
-def milnor_wood_check(obj, flat: bool | None = None, margin_tol: float = 1e-8,
-                      seed=None) -> dict:
+def milnor_wood_check(obj, flat: bool | None = None,
+                      margin_tol: float = MARGIN, seed=None) -> dict:
     """Boundary-rotation bound report for a cylinder or pants datum.
 
     Nonnegatively curved surfaces obey rot_dS <= -chi; flat ones also obey
-    the absolute-value version.  A failed curvature hypothesis is reported
-    (hypothesis_ok = False), never raised.
+    the absolute-value version, checked when flat is set (default: False
+    for a cylinder, True for pants data).  A failed curvature hypothesis
+    is reported (hypothesis_ok = False), never raised.
     """
     if isinstance(obj, CylinderConnection):
         chi = 0
         value = obj.rot_boundary()
-        hypothesis_ok = obj.is_nonneg_curved(margin_tol)
-        if flat is None:
-            flat = obj.is_flat(1e-6)
+        hypothesis_ok = bool(obj.curvature_margins().min() >= -margin_tol)
+        flat = bool(flat)
         convention = ("cylinder; rot_dS = rot(l1) - rot(l0), s=0 "
                       "orientation-reversed; transport dPi/dt Pi^-1 = A")
     elif isinstance(obj, PantsHolonomyData):

@@ -28,8 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Tolerances used in more than one place; README's "Tolerances" names the
+# decisions that read each.
 TAU_CLASS = 1e-9    # half width of the |trace| = 2 band
 EPS_EQ = 1e-9       # matrix equality threshold, Frobenius, modulo sign
+MARGIN = 1e-8       # curvature and flatness slack, artifact cone bounds
+PATH_CONE_SLACK = 1e-9  # slack of a path's cocycles on the cone boundary
+HOLONOMY_SNAP = 1e-6    # holonomies that must agree, Frobenius mod sign
+CLAIM_MATCH = 1e-9      # a recomputed artifact claim against its stored value
 
 IDENTITY = np.eye(2)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation generator, cone interior
@@ -110,9 +116,6 @@ class GroupElement:
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.m @ other.m)
-
-    def close_to(self, other: "GroupElement", eps: float = EPS_EQ) -> bool:
-        return psl_dist(self.m, other.m) <= eps
 
     def __repr__(self) -> str:
         return f"GroupElement({self.m.tolist()!r})"
@@ -199,13 +202,6 @@ class ConjClassSpec:
     def identity(cls) -> "ConjClassSpec":
         return cls(IDENTITY_CLASS)
 
-    def close_to(self, other: "ConjClassSpec", tol: float = 1e-9) -> bool:
-        if self.kind != other.kind:
-            return False
-        if self.value is None:
-            return other.value is None
-        return other.value is not None and abs(self.value - other.value) <= tol
-
     def __str__(self) -> str:
         if self.kind == ELLIPTIC:
             return f"Elliptic(theta={self.value:.12g})"
@@ -287,13 +283,17 @@ def random_lie(rng: np.random.Generator, scale: float = 0.7) -> np.ndarray:
     return np.array([[a, b], [c, -a]])
 
 
+def random_conjugate(rng: np.random.Generator, rep: np.ndarray,
+                     scale: float) -> GroupElement:
+    """h rep h^-1 with h = exp(random_lie(rng, scale))."""
+    h = sl2_exp(random_lie(rng, scale))
+    return GroupElement(h @ rep @ mat_inv(h))
+
+
 def random_in_class(spec: ConjClassSpec, seed) -> GroupElement:
     """Seeded conjugate h rep(spec) h^-1; the class is preserved exactly."""
-    rng = np.random.default_rng(seed)
-    h = sl2_exp(random_lie(rng))
-    rep = canonical_rep(spec).m
-    hinv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]])
-    return GroupElement(h @ rep @ hinv)
+    return random_conjugate(np.random.default_rng(seed), canonical_rep(spec).m,
+                            0.7)
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,19 @@ are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cover
 from .core import (
-    ConjClassSpec,
-    DegenerateClassification,
     ELLIPTIC,
     GroupElement,
     HYPERBOLIC,
     IDENTITY,
     LieElement,
     NonUnimodular,
+    PATH_CONE_SLACK,
     classify,
     cone_margins,
     kernel_vector,
@@ -125,16 +124,13 @@ class GroupPath:
     def margins(self) -> np.ndarray:
         return cone_margins(self.right_cocycles())
 
-    def is_nonneg(self, tol: float = 1e-9) -> bool:
-        return bool(self.margins().min() >= -tol)
+    def is_nonneg(self) -> bool:
+        return bool(self.margins().min() >= -PATH_CONE_SLACK)
 
-    def is_nonpos(self, tol: float = 1e-9) -> bool:
+    def is_nonpos(self) -> bool:
         # gamma is in the nonpositive cone iff -gamma is in the nonnegative one
         side_margins = cone_margins(-self.right_cocycles())
-        return bool(side_margins.min() >= -tol)
-
-    def reversed(self) -> "GroupPath":
-        return GroupPath(self.nodes[::-1])
+        return bool(side_margins.min() >= -PATH_CONE_SLACK)
 
     def inverted(self) -> "GroupPath":
         return GroupPath(mat_inv(self.nodes))
@@ -157,39 +153,6 @@ def geodesic_refine(nodes: np.ndarray, k: int) -> np.ndarray:
     fill = np.einsum("nab,ntbc->ntac", nodes[:-1],
                      sl2_exp(taus[None, :, None, None] * logs[:, None]))
     return np.concatenate([fill.reshape(-1, 2, 2), nodes[-1:]])
-
-
-@dataclass(frozen=True)
-class PathReport:
-    min_cone_margin: float
-    rot_gain: float
-    endpoint_class: ConjClassSpec | None
-    class_itinerary: list = field(default_factory=list)
-    nonnegative: bool = False
-    positive: bool = False
-
-
-def _classify_or_none(m: np.ndarray) -> ConjClassSpec | None:
-    try:
-        return classify(GroupElement(m))
-    except DegenerateClassification:
-        return None
-
-
-def is_nonnegative(p: GroupPath, margin: float = 1e-9) -> PathReport:
-    """Cone margins of all derivative cocycles plus rot bookkeeping."""
-    margins = p.margins()
-    worst = float(margins.min())
-    _, gain = cover.rot_along(p.nodes)
-    itinerary = [_classify_or_none(m) for m in p.nodes]
-    return PathReport(
-        min_cone_margin=worst,
-        rot_gain=gain,
-        endpoint_class=itinerary[-1],
-        class_itinerary=itinerary,
-        nonnegative=worst >= -margin,
-        positive=worst > margin,
-    )
 
 
 def pointwise_product(p1: GroupPath, p2: GroupPath) -> GroupPath:
@@ -234,15 +197,11 @@ def spiral_path(r: int, gamma, n: int | None = None) -> GroupPath:
 # class itineraries
 
 
-def _node_values(data, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the n + 1 node values, and their piecewise linear interpolant at
-    # the 4n + 1 probes t = k / 4n that the itinerary checks read
+def _node_values(data, n: int) -> np.ndarray:
     vals = np.asarray(data, dtype=float)
     if vals.shape != (n + 1,):
         raise ValueError(f"need {n + 1} node values, got shape {vals.shape}")
-    x = np.linspace(0.0, 1.0, 4 * n + 1) * n
-    i = np.minimum(x.astype(int), n - 1)
-    return vals, vals[i] + (x - i) * (vals[i + 1] - vals[i])
+    return vals
 
 
 def elliptic_itinerary_path(theta, g0: GroupElement | None = None,
@@ -258,25 +217,25 @@ def elliptic_itinerary_path(theta, g0: GroupElement | None = None,
     nonnegative path can lower the elliptic angle (reverse the result to
     realize the nonpositive itinerary).
     """
-    theta, vals = _node_values(theta, n)
-    if vals.min() < 1e-6 or vals.max() > np.pi - 1e-6:
+    theta = _node_values(theta, n)
+    if theta.min() < 1e-6 or theta.max() > np.pi - 1e-6:
         raise ItineraryViolation("theta must stay inside (0, pi)")
-    if np.diff(vals).min() < -1e-12:
+    if np.diff(theta).min() < -1e-12:
         raise ItineraryViolation("theta must be nondecreasing on a nonnegative path")
     if g0 is None:
-        start = rotation(vals[0])
+        start = rotation(theta[0])
     else:
         spec = classify(g0)
-        if spec.kind != ELLIPTIC or abs(spec.value - vals[0]) > 1e-9:
+        if spec.kind != ELLIPTIC or abs(spec.value - theta[0]) > 1e-9:
             raise ItineraryViolation(
-                f"g0 must be elliptic of angle {vals[0]}, got {spec}")
+                f"g0 must be elliptic of angle {theta[0]}, got {spec}")
         # counterclockwise representative has trace 2 cos(theta)
         start = g0.m if g0.m[1, 0] > 0 else -g0.m
-    j0 = sub_identity(start, np.cos(vals[0])) / np.sin(vals[0])
+    j0 = sub_identity(start, np.cos(theta[0])) / np.sin(theta[0])
     nodes = np.sin(theta)[:, None, None] * j0
     path = GroupPath(sub_identity(nodes, -np.cos(theta), out=nodes))
     drift = np.abs(np.abs(path.nodes[:, 0, 0] + path.nodes[:, 1, 1])
-                   - 2.0 * np.abs(np.cos(vals[::4])))
+                   - 2.0 * np.abs(np.cos(theta)))
     if drift.max() > 1e-6:
         raise ItineraryViolation(f"angle itinerary drifted by {drift.max():.3g}")
     return path
@@ -292,18 +251,19 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
     the boundary branch tracks the sign of tau'.  Classical RK4 on the
     piecewise linear lam, every stage of step i on the piece i.
     """
-    lam_nodes, lam_vals = _node_values(lam, n)
-    if lam_vals.min() <= 1.0 + 1e-9:
+    lam_nodes = _node_values(lam, n)
+    if lam_nodes.min() <= 1.0 + 1e-9:
         raise ItineraryViolation("multiplier must stay above 1")
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     if g0 is None:
-        start = direction * np.diag([lam_vals[0], 1.0 / lam_vals[0]])
+        start = direction * np.diag([lam_nodes[0], 1.0 / lam_nodes[0]])
     else:
         spec = classify(g0)
-        if spec.kind != HYPERBOLIC or abs(spec.value - lam_vals[0]) > 1e-9:
+        if spec.kind != HYPERBOLIC or abs(spec.value - lam_nodes[0]) > 1e-9:
             raise ItineraryViolation(
-                f"g0 must be hyperbolic of multiplier {lam_vals[0]}, got {spec}")
+                f"g0 must be hyperbolic of multiplier {lam_nodes[0]}, "
+                f"got {spec}")
         tr = g0.trace
         start = g0.m if tr * direction > 0 else -g0.m
 
@@ -356,8 +316,7 @@ def hyperbolic_itinerary_path(lam, direction: int = 1,
              for v, p, q, r, s in zip(g, k1, k2, k3, k4)]
         rows.append(g)
     path = GroupPath(np.reshape(rows, (n + 1, 2, 2)))
-    node_lams = lam_vals[::4]
-    target = node_lams + 1.0 / node_lams
+    target = lam_nodes + 1.0 / lam_nodes
     drift = np.abs(np.abs(path.nodes[:, 0, 0] + path.nodes[:, 1, 1]) - target)
     if drift.max() > 1e-5:
         raise ItineraryViolation(f"multiplier itinerary drifted by {drift.max():.3g}")

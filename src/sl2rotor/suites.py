@@ -17,12 +17,14 @@ from . import disc as dsc
 from . import paths as pth
 from .config import RunConfig
 from .core import (
+    CLAIM_MATCH,
     GroupElement,
     LieElement,
+    MARGIN,
     classify,
     cone_margins,
-    mat_inv,
     psl_dist,
+    random_conjugate,
     random_lie,
     rotation,
     sl2_exp,
@@ -60,8 +62,8 @@ def _report(name: str, cfg: RunConfig, cases: int, fail_idx: list[int],
         "checks": checks,
         "passed": ok,
         "config": {"n": cfg.n, "ns": cfg.ns, "mt": cfg.mt,
-                   "tau_class": cfg.tau_class, "eps_eq": cfg.eps_eq,
-                   "margin": cfg.margin},
+                   "tau_class": cfg.tau_class, "eps_eq": cfg.tau_class,
+                   "margin": MARGIN},
     }
 
 
@@ -81,18 +83,14 @@ def _sweep(case_fn, cases: int):
 # samplers
 
 
-def _conjugated(rng, rep: np.ndarray, spread: float = 0.5) -> GroupElement:
-    h = sl2_exp(random_lie(rng, spread))
-    return GroupElement(h @ rep @ mat_inv(h))
-
-
 def _random_lift(rng) -> cover.LiftedElement:
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        g = _conjugated(rng, rotation(float(rng.uniform(0.05, np.pi - 0.05))))
+        g = random_conjugate(
+            rng, rotation(float(rng.uniform(0.05, np.pi - 0.05))), 0.5)
     elif kind == 1:
         lam = float(np.exp(rng.uniform(0.1, 1.0)))
-        g = _conjugated(rng, np.diag([lam, 1.0 / lam]))
+        g = random_conjugate(rng, np.diag([lam, 1.0 / lam]), 0.5)
     else:
         g = GroupElement(sl2_exp(random_lie(rng, 0.6)))
     return cover.deck(cover.lift_of(g), int(rng.integers(-2, 3)))
@@ -126,7 +124,7 @@ def suite_quasimorphism(cfg: RunConfig) -> dict:
 
 
 def suite_parity(cfg: RunConfig) -> dict:
-    tol = cfg.eps_eq
+    tol = cfg.tau_class
 
     def case(i):
         rng = np.random.default_rng([cfg.seed, 13, i])
@@ -172,7 +170,7 @@ def suite_krein(cfg: RunConfig) -> dict:
                         for m in p.nodes])
         track = track_tol - np.abs(rec - theta).max()
         mono = float(np.diff(rec).min()) + mono_tol
-        marg = float(p.margins().min()) + cfg.margin
+        marg = float(p.margins().min()) + MARGIN
         if i % 3 == 0:
             # where theta' = 0 the nodes repeat exactly, but the batched
             # matmul in the cocycle leaves one-ulp FMA residue that the
@@ -197,7 +195,7 @@ def suite_krein(cfg: RunConfig) -> dict:
         rec = np.array([classify(GroupElement(m), cfg.tau_class).value
                         for m in p.nodes])
         track = track_tol - np.abs(rec - lam).max()
-        marg = float(p.margins().min()) + cfg.margin
+        marg = float(p.margins().min()) + MARGIN
         worst_track = min(worst_track, track)
         worst_margin = min(worst_margin, marg)
         if min(track, marg) < 0:
@@ -207,8 +205,8 @@ def suite_krein(cfg: RunConfig) -> dict:
                            track_tol - worst_track, track_tol),
         "monotone": _check("min recovered theta increment",
                            worst_mono - mono_tol, -mono_tol, mode="ge"),
-        "cone": _check("min cocycle margin", worst_margin - cfg.margin,
-                       -cfg.margin, mode="ge"),
+        "cone": _check("min cocycle margin", worst_margin - MARGIN,
+                       -MARGIN, mode="ge"),
         "plateau": _check("max cocycle norm where theta' = 0",
                           plateau_norm, 32 * np.finfo(float).eps * cfg.n),
     }
@@ -313,10 +311,10 @@ def _exp_family_instance(rng, n_steps: int, mt: int, cap: float | None = None):
     for _ in range(64):
         if rng.random() < 0.5:
             lam = float(np.exp(rng.uniform(0.2, 0.9)))
-            g0 = _conjugated(rng, np.diag([lam, 1.0 / lam]), 0.4)
+            g0 = random_conjugate(rng, np.diag([lam, 1.0 / lam]), 0.4)
         else:
             th = float(rng.uniform(0.3, np.pi - 0.3))
-            g0 = _conjugated(rng, rotation(th), 0.4)
+            g0 = random_conjugate(rng, rotation(th), 0.4)
         if cap is None or np.linalg.norm(g0.m) <= cap:
             break
     svals = np.linspace(0.0, 1.0, n_steps + 1)
@@ -352,12 +350,12 @@ def suite_cylinder_constructor(cfg: RunConfig) -> dict:
         cm = float(conn.curvature_margins().min())
         worst_rt = max(worst_rt, rt)
         worst_margin = max(worst_margin, -cm)
-        if rt > 1e-5 or cm < -cfg.margin:
+        if rt > 1e-5 or cm < -MARGIN:
             fails.append(i)
     checks = {
         "round_trip": _check("max holonomy round-trip error", worst_rt, 1e-5),
         "curvature": _check("max curvature margin deficit", worst_margin,
-                            cfg.margin),
+                            MARGIN),
     }
     return _report("cylinder-constructor", cfg, cases, fails, checks)
 
@@ -372,7 +370,7 @@ def milnor_wood_cases(cfg: RunConfig, cylinders: int = 2000,
         p, a0 = _exp_family_instance(rng, grid, grid, cap=3.0)
         conn = cx.from_nonpositive_path(p, a0)
         yield "cylinder", i, cx.milnor_wood_check(
-            conn, flat=False, margin_tol=cfg.margin, seed=i)
+            conn, flat=False, seed=i)
     for i in range(pants):
         rng = np.random.default_rng([cfg.seed, 37, i])
         data = cx.PantsHolonomyData(_random_lift(rng), _random_lift(rng))
@@ -601,39 +599,40 @@ def verify_artifact(obj: dict) -> dict:
         margins = art.margins()
         if claims.get("nonneg"):
             checks["nonneg"] = _check("min cocycle margin",
-                                      float(margins.min()), -1e-8, mode="ge")
+                                      float(margins.min()), -MARGIN, mode="ge")
         if claims.get("nonpos"):
             checks["nonpos"] = _check(
                 "min negated cocycle margin",
-                float(cone_margins(-art.right_cocycles()).min()), -1e-8,
+                float(cone_margins(-art.right_cocycles()).min()), -MARGIN,
                 mode="ge")
         if "rot_gain" in claims:
             _, gain = cover.rot_along(art.nodes)
-            checks["rot_gain"] = _check("|rot gain - claim|",
-                                        abs(gain - claims["rot_gain"]), 1e-9)
+            checks["rot_gain"] = _check(
+                "|rot gain - claim|", abs(gain - claims["rot_gain"]),
+                CLAIM_MATCH)
     elif isinstance(art, cx.LoopConnection):
         if "rot" in claims:
             checks["rot"] = _check("|rot - claim|",
-                                   abs(art.rot() - claims["rot"]), 1e-9)
+                                   abs(art.rot() - claims["rot"]), CLAIM_MATCH)
         if "holonomy_trace" in claims:
             checks["holonomy_trace"] = _check(
                 "|holonomy trace - claim|",
                 abs(abs(art.holonomy().trace) - abs(claims["holonomy_trace"])),
-                1e-9)
+                CLAIM_MATCH)
     elif isinstance(art, cx.CylinderConnection):
         if claims.get("nonneg_curved"):
             checks["curvature"] = _check(
                 "min curvature margin", float(art.curvature_margins().min()),
-                -1e-8, mode="ge")
+                -MARGIN, mode="ge")
         if claims.get("flat"):
             checks["flat"] = _check(
                 "max |curvature|",
                 float(np.linalg.norm(art.curvature_grid, axis=(2, 3)).max()),
-                1e-8)
+                MARGIN)
         if "rot_boundary" in claims:
             checks["rot_boundary"] = _check(
                 "|rot_boundary - claim|",
-                abs(art.rot_boundary() - claims["rot_boundary"]), 1e-9,
+                abs(art.rot_boundary() - claims["rot_boundary"]), CLAIM_MATCH,
                 convention=BOUNDARY_CONVENTION)
     elif isinstance(art, dict) and "report" in art:  # unit-path bundle
         rep = art["report"]

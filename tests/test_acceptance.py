@@ -18,7 +18,7 @@ from sl2rotor.core import (
     ConjClassSpec,
     GroupElement,
     classify,
-    mat_inv,
+    random_conjugate,
     random_in_class,
     random_lie,
     rotation,
@@ -37,20 +37,16 @@ def _timed_suite(name):
     return rep, time.perf_counter() - t0
 
 
-def _conjugated(rng, rep, spread=0.5):
-    h = sl2_exp(random_lie(rng, spread))
-    return GroupElement(h @ rep @ mat_inv(h))
-
-
 def _mixed_lift(rng):
     # same population the quasimorphism sweep draws from: conjugated
     # rotations, conjugated diagonals, exponentials, all with a random deck
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        g = _conjugated(rng, rotation(float(rng.uniform(0.05, np.pi - 0.05))))
+        g = random_conjugate(
+            rng, rotation(float(rng.uniform(0.05, np.pi - 0.05))), 0.5)
     elif kind == 1:
         lam = float(np.exp(rng.uniform(0.1, 1.0)))
-        g = _conjugated(rng, np.diag([lam, 1.0 / lam]))
+        g = random_conjugate(rng, np.diag([lam, 1.0 / lam]), 0.5)
     else:
         g = GroupElement(sl2_exp(random_lie(rng, 0.6)))
     return cover.deck(cover.lift_of(g), int(rng.integers(-2, 3)))
@@ -85,7 +81,7 @@ def test_triples_with_elliptic_member():
     for i in range(1000):
         rng = np.random.default_rng([CFG.seed, 3001, i])
         th = float(rng.uniform(0.05, np.pi - 0.05))
-        g = _conjugated(rng, rotation(th))
+        g = random_conjugate(rng, rotation(th), 0.5)
         l1 = cover.deck(cover.lift_of(g), int(rng.integers(-2, 3)))
         s = _identity_triple_sum(l1, _mixed_lift(rng))
         min_margin = min(min_margin, 1.0 - abs(s))

@@ -25,7 +25,6 @@ from sl2rotor.paths import (
     elliptic_about,
     elliptic_itinerary_path,
     hyperbolic_itinerary_path,
-    is_nonnegative,
     make_positive,
     pointwise_product,
     spiral_path,
@@ -105,16 +104,6 @@ def test_pointwise_product_of_nonneg_paths():
     assert abs(gain - 3.0) < 1e-9
 
 
-def test_is_nonnegative_report():
-    p = spiral_path(1, np.diag([0.1, -0.1]), n=200)
-    rep = is_nonnegative(p)
-    assert rep.min_cone_margin > 0.0
-    assert rep.rot_gain == 1.0
-    assert rep.nonnegative and rep.positive
-    assert rep.endpoint_class is not None
-    assert len(rep.class_itinerary) == len(p.nodes)
-
-
 # ---------------------------------------------------------------------------
 # itinerary constructors
 
@@ -130,6 +119,9 @@ def test_elliptic_itinerary_tracks_the_angles():
 def test_elliptic_itinerary_rejects_decreasing_angles():
     with pytest.raises(ItineraryViolation):
         elliptic_itinerary_path(np.array([1.0, 0.9, 1.1]), n=2)
+    with pytest.raises(ItineraryViolation):
+        # node steps are checked at -1e-12 themselves, not in quarters
+        elliptic_itinerary_path(np.array([1.0, 1.0 - 2e-12, 1.1]), n=2)
     with pytest.raises(ValueError):
         elliptic_itinerary_path(np.array([0.0, 0.5]), n=1)
 
@@ -140,7 +132,7 @@ def test_hyperbolic_itinerary_tracks_both_directions():
         p = hyperbolic_itinerary_path(lam, direction=direction, n=300)
         rec = np.array([classify(GroupElement(m)).value for m in p.nodes])
         assert np.abs(rec - lam).max() < 1e-5
-        assert p.is_nonneg(tol=1e-8)
+        assert p.is_nonneg()
 
 
 def test_hyperbolic_itinerary_descending():
