@@ -32,6 +32,7 @@ from .core import (
     sl2_log,
     sub_identity,
 )
+from .disc import _finite, _in_disc, _out
 
 MAX_STEP = 0.5
 # the hyperbolic itinerary's push into the cone, relative to sqrt(r)
@@ -493,28 +494,32 @@ def three_classes_triple(lam0: float, lam1: float, lam2: float,
 # two elliptic factors
 
 
-def elliptic_about(theta: float, w: complex) -> GroupElement:
-    """Rotation by theta about the disc point w, |w| < 1, as a real matrix."""
-    w = complex(w)
-    r2 = abs(w) ** 2
-    if r2 >= 1.0:
-        raise ValueError("w must lie in the open unit disc")
+def elliptic_about(theta, w):
+    """Rotation by theta about the disc point w, |w| < 1, as a real matrix.
+
+    Arrays of angles and points give a (..., 2, 2) array of matrices; the
+    0-d case is a GroupElement.
+    """
+    _finite(theta)
+    w = _in_disc(w)
     c, s = np.cos(theta), np.sin(theta)
-    den = 1.0 - r2
-    return GroupElement(np.array([
-        [c - s * 2.0 * w.imag / den, -s * abs(1 + w) ** 2 / den],
-        [s * abs(1 - w) ** 2 / den, c + s * 2.0 * w.imag / den],
-    ]))
+    den = 1.0 - np.abs(w) ** 2
+    m = np.empty(np.broadcast(c, w).shape + (2, 2))
+    m[..., 0, 0] = c - s * 2.0 * w.imag / den
+    m[..., 0, 1] = -s * np.abs(1 + w) ** 2 / den
+    m[..., 1, 0] = s * np.abs(1 - w) ** 2 / den
+    m[..., 1, 1] = c + s * 2.0 * w.imag / den
+    return GroupElement(m) if m.ndim == 2 else m
 
 
-def two_elliptic_trace(theta1: float, theta2: float, w: complex) -> float:
+def two_elliptic_trace(theta1, theta2, w):
     """Trace of (rotation theta1 about w) (rotation theta2 about 0).
 
     Equals 2 cos t1 cos t2 - 2 sin t1 sin t2 (1+|w|^2)/(1-|w|^2); decreasing
-    in |w|, with supremum 2 cos(t1 + t2) on the diagonal w = 0.
+    in |w|, with supremum 2 cos(t1 + t2) on the diagonal w = 0.  Broadcasts
+    over arrays of angles and points.
     """
-    r2 = abs(complex(w)) ** 2
-    if r2 >= 1.0:
-        raise ValueError("w must lie in the open unit disc")
-    return float(2.0 * np.cos(theta1) * np.cos(theta2)
-                 - 2.0 * np.sin(theta1) * np.sin(theta2) * (1.0 + r2) / (1.0 - r2))
+    _finite(theta1, theta2)
+    r2 = np.abs(_in_disc(w)) ** 2
+    return _out(2.0 * np.cos(theta1) * np.cos(theta2)
+                - 2.0 * np.sin(theta1) * np.sin(theta2) * (1.0 + r2) / (1.0 - r2))

@@ -19,7 +19,6 @@ from .config import RunConfig
 from .core import (
     CLAIM_MATCH,
     GroupElement,
-    LieElement,
     MARGIN,
     classify,
     cone_margins,
@@ -96,12 +95,34 @@ def _random_lift(rng) -> cover.LiftedElement:
     return cover.deck(cover.lift_of(g), int(rng.integers(-2, 3)))
 
 
-def _random_cone_element(rng, lo: float = 0.05, hi: float = 0.25) -> np.ndarray:
-    alpha = float(rng.uniform(lo, hi))
-    rad = alpha * float(rng.uniform(0.0, 0.95))
-    phi = float(rng.uniform(0.0, 2 * np.pi))
+def _draws(rng, cases: int, normals: int, units: int):
+    """Per case, standard normals then unit draws, in a loop's order;
+    random_lie(rng, scale) is scale * _lie of three standard normals."""
+    z, u = zip(*[(rng.standard_normal(normals), rng.random(units))
+                 for _ in range(cases)])
+    return np.array(z), np.array(u)
+
+
+def _lie(abc: np.ndarray) -> np.ndarray:
+    """[[a, b], [c, -a]] from the last axis (a, b, c): random_lie in batch."""
+    a, b, c = np.moveaxis(abc, -1, 0)
+    return np.stack([np.stack([a, b], -1), np.stack([c, -a], -1)], -2)
+
+
+def _cone_element(u: np.ndarray, lo: float = 0.05,
+                  hi: float = 0.25) -> np.ndarray:
+    """Traceless matrices inside the nonnegative cone from three unit draws
+    u[..., :3], each mapped to the value rng.uniform gives for it."""
+    alpha = lo + (hi - lo) * u[..., 0]
+    rad = alpha * (0.95 * u[..., 1])
+    phi = 2 * np.pi * u[..., 2]
     delta, eps = rad * np.cos(phi), rad * np.sin(phi)
-    return np.array([[eps, delta - alpha], [delta + alpha, -eps]])
+    return _lie(np.stack([eps, delta - alpha, delta + alpha], -1))
+
+
+def _disc_point(radius: float, u: np.ndarray) -> np.ndarray:
+    """Points radius sqrt(u0) e^{2 pi i u1} from unit draws u[..., :2]."""
+    return radius * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +264,22 @@ def suite_three_classes(cfg: RunConfig) -> dict:
 
 
 def suite_two_elliptic(cfg: RunConfig) -> dict:
-    fails = []
-    worst = sup_dev = -np.inf
-    for i in range(1000):
-        rng = np.random.default_rng([cfg.seed, 23, i])
-        th1 = rng.uniform(0.05, np.pi - 0.05)
-        th2 = rng.uniform(0.05, np.pi - 0.05)
-        w = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        formula = pth.two_elliptic_trace(th1, th2, w)
-        direct = (pth.elliptic_about(th1, w)
-                  @ GroupElement.rotation(th2)).trace
-        dev = abs(formula - direct)
-        at0 = pth.two_elliptic_trace(th1, th2, 0.0)
-        sdev = max(abs(at0 - 2.0 * np.cos(th1 + th2)),
-                   formula - at0 - 1e-12)
-        worst = max(worst, dev)
-        sup_dev = max(sup_dev, sdev)
-        if dev > 1e-10 or sdev > 1e-12:
-            fails.append(i)
+    u = np.array([np.random.default_rng([cfg.seed, 23, i]).random(4)
+                  for i in range(1000)])
+    lo, hi = 0.05, np.pi - 0.05  # rng.uniform(lo, hi) is lo + (hi - lo) u
+    th1, th2 = lo + (hi - lo) * u[:, 0], lo + (hi - lo) * u[:, 1]
+    w = _disc_point(0.9, u[:, 2:])
+    formula = pth.two_elliptic_trace(th1, th2, w)
+    prod = pth.elliptic_about(th1, w) @ rotation(th2)
+    dev = np.abs(formula - (prod[:, 0, 0] + prod[:, 1, 1]))
+    at0 = pth.two_elliptic_trace(th1, th2, 0.0)
+    sdev = np.maximum(np.abs(at0 - 2.0 * np.cos(th1 + th2)),
+                      formula - at0 - 1e-12)
+    fails = np.flatnonzero((dev > 1e-10) | (sdev > 1e-12)).tolist()
     checks = {
-        "trace_formula": _check("max |formula - product trace|", worst, 1e-10),
-        "supremum": _check("max w=0 supremum deviation", sup_dev, 1e-12),
+        "trace_formula": _check("max |formula - product trace|", dev.max(),
+                                1e-10),
+        "supremum": _check("max w=0 supremum deviation", sdev.max(), 1e-12),
     }
     return _report("two-elliptic", cfg, 1000, fails, checks)
 
@@ -307,7 +323,7 @@ def _exp_family_instance(rng, n_steps: int, mt: int, cap: float | None = None):
     conjugated by g0^-1, so coarse grids need |g0| small enough for the
     steps to stay inside the principal log chart.
     """
-    gamma = _random_cone_element(rng)
+    gamma = _cone_element(rng.random(3))
     for _ in range(64):
         if rng.random() < 0.5:
             lam = float(np.exp(rng.uniform(0.2, 0.9)))
@@ -487,77 +503,70 @@ def suite_cover(cfg: RunConfig) -> dict:
 
 
 def suite_hyperdisc(cfg: RunConfig) -> dict:
-    fails = []
+    # every case draws from the one stream in the order the cases are
+    # counted; each section then runs as one array pass
     rng = np.random.default_rng([cfg.seed, 47])
-    worst_cone = worst_fun = worst_iso = -np.inf
-    for i in range(1000):
-        x = LieElement(random_lie(rng))
-        dev_cone = abs(dsc.cayley_lie(x).cone_margin() - x.cone_margin())
-        g1 = GroupElement(sl2_exp(random_lie(rng, 0.6)))
-        g2 = GroupElement(sl2_exp(random_lie(rng, 0.6)))
-        lhs = dsc.cayley(g1 @ g2)
-        rhs = dsc.cayley(g1) @ dsc.cayley(g2)
-        dev_fun = min(  # su(1,1) reps agree up to the shared center
-            max(abs(lhs.a - rhs.a), abs(lhs.b - rhs.b)),
-            max(abs(lhs.a + rhs.a), abs(lhs.b + rhs.b)))
-        dev_iso = 0.0
-        if i < 500:
-            iso = dsc.cayley(g1)
-            w1 = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            w2 = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            dev_iso = abs(
-                dsc.dist_hyp(iso(w1), iso(w2)) - dsc.dist_hyp(w1, w2))
-        worst_cone = max(worst_cone, dev_cone)
-        worst_fun = max(worst_fun, dev_fun)
-        worst_iso = max(worst_iso, dev_iso)
-        if max(dev_cone, dev_iso) > 1e-9 or dev_fun > 1e-10:
-            fails.append(i)
-    min_h = np.inf
-    min_boundary = np.inf
-    for i in range(100):
-        g = dsc.cayley_lie(LieElement(_random_cone_element(rng, 0.1, 1.0)))
-        for _ in range(20):
-            w = 0.97 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            min_h = min(min_h, dsc.hamiltonian(g, w))
-        for k in range(64):
-            w = np.exp(2j * np.pi * k / 64)
-            min_boundary = min(min_boundary,
-                               (np.conj(w) * dsc.vector_field(g, w)).imag)
-    worst_defect = -np.inf
-    worst_slope = 0.0
-    for i in range(30):
-        # the defect is pure truncation, quadratic in the element size and
-        # steep in |w|; moderate samples keep the h = 1e-3 reading clean
-        g1 = dsc.cayley_lie(LieElement(random_lie(rng, 0.5)))
-        g2 = dsc.cayley_lie(LieElement(random_lie(rng, 0.5)))
-        w = 0.4 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        worst_defect = max(worst_defect,
-                           abs(dsc.poisson_defect(g1, g2, w, 1e-3)))
-        d1 = abs(dsc.poisson_defect(g1, g2, w, 1e-2))
-        d2 = abs(dsc.poisson_defect(g1, g2, w, 5e-3))
-        if d1 > 1e-10:
-            worst_slope = max(worst_slope, abs(np.log2(d1 / d2) - 2.0))
-    worst_drift = -np.inf
-    for i in range(20):
-        g = dsc.cayley_lie(LieElement(random_lie(rng, 0.7)))
-        w0 = 0.6 * np.exp(2j * np.pi * rng.random())
-        w1 = dsc.flow(g, w0, 1.0, 512)
-        worst_drift = max(worst_drift,
-                          abs(dsc.hamiltonian(g, w1) - dsc.hamiltonian(g, w0)))
+    z, u = _draws(rng, 500, 9, 4)
+    z = np.concatenate([z, rng.standard_normal((500, 9))])
+    z *= np.repeat([0.7, 0.6, 0.6], 3)
+    cone_u = rng.random((100, 3 + 2 * 20))
+    zp, up = _draws(rng, 30, 6, 2)
+    zf, uf = _draws(rng, 20, 3, 1)
+
+    x, g1, g2 = _lie(z[:, :3]), sl2_exp(_lie(z[:, 3:6])), sl2_exp(_lie(z[:, 6:]))
+    dev_cone = np.abs(dsc.cayley_lie(x).cone_margin() - cone_margins(x))
+    lhs = dsc.cayley(g1 @ g2)
+    rhs = dsc.cayley(g1) @ dsc.cayley(g2)
+    dev_fun = np.minimum(  # su(1,1) reps agree up to the shared center
+        np.maximum(np.abs(lhs.a - rhs.a), np.abs(lhs.b - rhs.b)),
+        np.maximum(np.abs(lhs.a + rhs.a), np.abs(lhs.b + rhs.b)))
+    iso = dsc.cayley(g1[:500])
+    w1, w2 = _disc_point(0.9, u[:, :2]), _disc_point(0.9, u[:, 2:])
+    dev_iso = np.zeros(1000)
+    dev_iso[:500] = np.abs(dsc.dist_hyp(iso(w1), iso(w2)) - dsc.dist_hyp(w1, w2))
+    bad = (np.maximum(dev_cone, dev_iso) > 1e-9) | (dev_fun > 1e-10)
+
+    g = dsc.cayley_lie(_cone_element(cone_u[:, None, :3], 0.1, 1.0))
+    h = dsc.hamiltonian(g, _disc_point(0.97, cone_u[:, 3:].reshape(100, 20, 2)))
+    w = np.exp(2j * np.pi * np.arange(64) / 64)
+    along = (np.conj(w) * dsc.vector_field(g, w)).imag
+    bad_cone = (h.min(1) < 0.0) | (along.min(1) < -1e-12)
+
+    # the defect is pure truncation, quadratic in the element size and
+    # steep in |w|; moderate samples keep the h = 1e-3 reading clean
+    p1 = dsc.cayley_lie(_lie(0.5 * zp[:, :3]))
+    p2 = dsc.cayley_lie(_lie(0.5 * zp[:, 3:]))
+    wp = _disc_point(0.4, up)
+    defect = np.abs(dsc.poisson_defect(p1, p2, wp, 1e-3))
+    d1 = np.abs(dsc.poisson_defect(p1, p2, wp, 1e-2))
+    d2 = np.abs(dsc.poisson_defect(p1, p2, wp, 5e-3))
+    seen = d1 > 1e-10
+    slope = np.zeros(30)
+    slope[seen] = np.abs(np.log2(d1[seen] / d2[seen]) - 2.0)
+    bad_pair = (defect > 1e-5) | (slope > 0.2)
+
+    gf = dsc.cayley_lie(_lie(0.7 * zf))
+    w0 = 0.6 * np.exp(2j * np.pi * uf[:, 0])
+    w1 = dsc.flow(gf, w0, 1.0, 512)
+    drift = np.abs(dsc.hamiltonian(gf, w1) - dsc.hamiltonian(gf, w0))
+
+    fails = np.flatnonzero(np.concatenate(
+        [bad, bad_cone, bad_pair, drift > 1e-6])).tolist()
     bound_dev = max(abs(dsc.hyp_cylinder_max_length(np.e) - np.pi / 2.0),
                     abs(dsc.elliptic_cylinder_radius_bound(
                         np.pi / 2.0, np.pi / 2.0) - 0.5))
     checks = {
-        "cone": _check("max cone margin transfer deviation", worst_cone, 1e-9),
-        "functorial": _check("max composition deviation", worst_fun, 1e-10),
-        "isometry": _check("max distance deviation", worst_iso, 1e-9),
-        "hamiltonian_sign": _check("min H over cone samples", min_h, 0.0,
+        "cone": _check("max cone margin transfer deviation", dev_cone.max(),
+                       1e-9),
+        "functorial": _check("max composition deviation", dev_fun.max(), 1e-10),
+        "isometry": _check("max distance deviation", dev_iso.max(), 1e-9),
+        "hamiltonian_sign": _check("min H over cone samples", h.min(), 0.0,
                                    mode="ge"),
         "boundary_field": _check("min angular component on |w|=1",
-                                 min_boundary, -1e-12, mode="ge"),
-        "poisson": _check("max defect at h=1e-3", worst_defect, 1e-5),
-        "richardson": _check("max |slope - 2|", worst_slope, 0.2),
-        "flow_drift": _check("max H drift per unit time", worst_drift, 1e-6),
+                                 along.min(), -1e-12, mode="ge"),
+        "poisson": _check("max defect at h=1e-3", defect.max(), 1e-5),
+        "richardson": _check("max |slope - 2|", slope.max(), 0.2),
+        "flow_drift": _check("max H drift per unit time", drift.max(), 1e-6),
         "closed_bounds": _check("max spot-value deviation", bound_dev, 1e-12),
     }
     return _report("hyperdisc", cfg, 1150, fails, checks)

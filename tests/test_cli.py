@@ -94,6 +94,15 @@ def test_verify_suite_passes(capsys):
     assert rep["cases"] == 125
 
 
+
+@pytest.mark.parametrize("suite", ["hyperdisc", "two-elliptic"])
+def test_verify_disc_suites_pass_at_a_second_seed(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--seed", "1")
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["passed"] is True
+    assert rep["seed"] == 1 and rep["failures"] == 0
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "no-such-suite")
     assert code == 2

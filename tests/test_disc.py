@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2rotor import disc as dsc
 from sl2rotor.core import GroupElement, LieElement, psl_dist, random_lie, sl2_exp
+from sl2rotor.paths import two_elliptic_trace
 
 small = st.floats(-0.6, 0.6)
 points = st.complex_numbers(max_magnitude=0.8, allow_nan=False,
@@ -156,3 +157,144 @@ def test_elliptic_cylinder_radius_bound_values():
         dsc.elliptic_cylinder_radius_bound(0.0, 1.0)
     with pytest.raises(ValueError):
         dsc.elliptic_cylinder_radius_bound(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# inputs that must raise, for a scalar and for a batch with one bad entry
+
+G = dsc.DiscLieElement(0.4, 0.2 + 0.1j)
+G2 = dsc.DiscLieElement(-0.1, 0.3 - 0.2j)
+REFUSED = {
+    "iso_nan": lambda: dsc.DiscIsometry(np.nan, 0),
+    "iso_nan_batch": lambda: dsc.DiscIsometry([1.0, np.nan], 0),
+    "iso_inf": lambda: dsc.DiscIsometry(np.inf, 0),
+    "iso_inf_batch": lambda: dsc.DiscIsometry([1.0, np.inf], [0.0, 0.0]),
+    "iso_call_nan": lambda: dsc.DiscIsometry(1.0, 0.0)(np.nan),
+    "iso_call_outside_batch": lambda: dsc.DiscIsometry(1.0, 0.0)([0.1, 2.0]),
+    "hyp_length_nan": lambda: dsc.hyp_cylinder_max_length(np.nan),
+    "radius_bound_nan_modulus": lambda: dsc.elliptic_cylinder_radius_bound(
+        1.0, np.nan),
+    "hamiltonian_nan": lambda: dsc.hamiltonian(G, np.nan),
+    "hamiltonian_nan_batch": lambda: dsc.hamiltonian(G, [0.1, np.nan]),
+    "dist_nan": lambda: dsc.dist_hyp(np.nan, 0),
+    "dist_nan_batch": lambda: dsc.dist_hyp([0.1, np.nan], 0),
+    "two_elliptic_nan": lambda: two_elliptic_trace(1, 1, np.nan),
+    "two_elliptic_nan_batch": lambda: two_elliptic_trace(1, 1, [0.2, np.nan]),
+    "flow_negative_steps": lambda: dsc.flow(G, 0.1, 1.0, -3),
+    "flow_negative_steps_batch": lambda: dsc.flow(G, [0.1, 0.2], 1.0, -3),
+    "flow_zero_steps": lambda: dsc.flow(G, 0.1, 1.0, 0),
+    "flow_zero_steps_batch": lambda: dsc.flow(G, [0.1, 0.2], 1.0, 0),
+    "poisson_zero_h": lambda: dsc.poisson_defect(G, G2, 0.1, h=0.0),
+    "poisson_zero_h_batch": lambda: dsc.poisson_defect(G, G2, [0.1, 0.2],
+                                                       h=[1e-3, 0.0]),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_bad_disc_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# a batch call equals the list of its scalar calls
+
+# numpy's scalar arithmetic rounds without the fused multiply-adds of its
+# array loops, so an entry may differ from its scalar call in the last bits
+ULPS = 64 * np.finfo(float).eps
+OUTSIDE = 1.5
+elements = st.tuples(st.floats(-1.0, 1.0),
+                     st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                        allow_infinity=False))
+batches = st.lists(st.tuples(elements, elements, points), min_size=1,
+                   max_size=5)
+ONE = [((0.3, 0.2j), (-0.1, 0.4 + 0.1j), 0.25 - 0.1j)]
+
+
+def _split(cases):
+    """Batch elements g1, g2 and points w of [(e1, e2, w), ...], with the
+    scalar elements of each entry."""
+    def batch(es):
+        alpha, beta = zip(*es)
+        return dsc.DiscLieElement(np.array(alpha), np.array(beta, dtype=complex))
+
+    e1, e2, w = zip(*cases)
+    scalars = [(dsc.DiscLieElement(*a), dsc.DiscLieElement(*b), p)
+               for a, b, p in cases]
+    return batch(e1), batch(e2), np.array(w, dtype=complex), scalars
+
+
+def _outside(w):
+    return np.append(w[1:], OUTSIDE)
+
+
+def assert_batch(batch, scalars):
+    assert np.shape(batch) == np.shape(scalars)
+    np.testing.assert_allclose(batch, scalars, rtol=ULPS, atol=ULPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches)
+@example(ONE)
+def test_vector_field_batch(cases):
+    g, _, w, scalars = _split(cases)
+    assert_batch(dsc.vector_field(g, w),
+                 [dsc.vector_field(a, p) for a, _, p in scalars])
+    with pytest.raises(ValueError):
+        dsc.vector_field(g, _outside(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches)
+@example(ONE)
+def test_hamiltonian_batch(cases):
+    g, _, w, scalars = _split(cases)
+    assert_batch(dsc.hamiltonian(g, w),
+                 [dsc.hamiltonian(a, p) for a, _, p in scalars])
+    with pytest.raises(ValueError):
+        dsc.hamiltonian(g, _outside(w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(batches)
+@example(ONE)
+def test_flow_batch(cases):
+    g, _, w, scalars = _split(cases)
+    assert_batch(dsc.flow(g, w, 0.7, 32),
+                 [dsc.flow(a, p, 0.7, 32) for a, _, p in scalars])
+    with pytest.raises(ValueError):
+        dsc.flow(g, _outside(w), 0.7, 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches)
+@example(ONE)
+def test_poisson_defect_batch(cases):
+    g1, g2, w, scalars = _split(cases)
+    assert_batch(dsc.poisson_defect(g1, g2, w),
+                 [dsc.poisson_defect(a, b, p) for a, b, p in scalars])
+    with pytest.raises(ValueError):
+        dsc.poisson_defect(g1, g2, _outside(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(points, points), min_size=1, max_size=5))
+@example([(0.1 + 0.2j, -0.5 + 0.3j)])
+def test_dist_hyp_batch(pairs):
+    w1, w2 = (np.array(v, dtype=complex) for v in zip(*pairs))
+    assert_batch(dsc.dist_hyp(w1, w2), [dsc.dist_hyp(a, b) for a, b in pairs])
+    with pytest.raises(ValueError):
+        dsc.dist_hyp(w1, _outside(w2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(small, small, small), min_size=1, max_size=5))
+@example([(0.1, -0.3, 0.2)])
+def test_cayley_batch(abcs):
+    gs = [GroupElement(sl2_exp(np.array([[a, b], [c, -a]]))) for a, b, c in abcs]
+    iso = dsc.cayley(np.array([g.m for g in gs]))
+    assert_batch(iso.a, [dsc.cayley(g).a for g in gs])
+    assert_batch(iso.b, [dsc.cayley(g).b for g in gs])
+    flipped = np.array([g.m for g in gs[1:]] + [np.diag([1.0, -1.0])])
+    with pytest.raises(ValueError):  # det -1: no disc isometry
+        dsc.cayley(flipped)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2rotor import cover
@@ -427,6 +427,32 @@ def test_two_elliptic_supremum_at_center(th1, th2):
     for rad in (0.2, 0.5, 0.8):
         assert two_elliptic_trace(th1, th2, rad) <= at0 + 1e-12
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(angles, angles, st.floats(0.0, 0.85),
+                          st.floats(0.0, 2 * np.pi)), min_size=1, max_size=5))
+@example([(0.5, 1.0, 0.3, 0.2)])
+def test_two_elliptic_batches_are_the_scalar_calls(cases):
+    # numpy's scalar arithmetic skips the fused multiply-adds of its array
+    # loops, so an entry may differ from its scalar call in the last bits
+    tol = 64 * np.finfo(float).eps
+    th1, th2, rad, phi = (np.array(v) for v in zip(*cases))
+    w = rad * np.exp(1j * phi)
+    traces = two_elliptic_trace(th1, th2, w)
+    np.testing.assert_allclose(
+        traces, [two_elliptic_trace(*a) for a in zip(th1, th2, w)],
+        rtol=tol, atol=tol)
+    mats = elliptic_about(th1, w)
+    assert mats.shape == (len(cases), 2, 2)
+    np.testing.assert_allclose(
+        [GroupElement(m).m for m in mats],
+        [elliptic_about(*a).m for a in zip(th1, w)], rtol=tol, atol=tol)
+    outside = np.append(w[1:], 1.5)
+    with pytest.raises(ValueError):
+        two_elliptic_trace(th1, th2, outside)
+    with pytest.raises(ValueError):
+        elliptic_about(th1, outside)
 
 def test_cone_margin_sides_are_consistent():
     p = spiral_path(1, np.diag([0.1, -0.1]), n=200)

@@ -1,11 +1,13 @@
 """Report plumbing for the verification sweeps."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sl2rotor import connections as cx, core, suites
+from sl2rotor import disc as dsc
 from sl2rotor.config import RunConfig
 from sl2rotor.serialize import loop_to_obj
 from sl2rotor.suites import SUITES, UnknownSuite, run_suite, verify_artifact
@@ -65,6 +67,30 @@ def test_tau_class_reaches_every_classify(monkeypatch, name):
     run_suite(name, RunConfig(tau_class=1e-7))
     assert seen and set(seen) == {1e-7}
 
+
+
+@pytest.mark.parametrize("name, entry, by, index", [
+    ("hamiltonian", 7, -1.0, 1007),     # a cone element's H goes negative
+    ("vector_field", 2, -10j, 1002),    # its boundary field turns inward
+    ("poisson_defect", 5, 1.0, 1105),   # a pair misses the bracket
+    ("flow", 3, 0.1, 1133),             # a flow drifts off its level set
+])
+def test_hyperdisc_names_failing_cases_in_every_section(monkeypatch, name,
+                                                        entry, by, index):
+    real = getattr(dsc, name)
+
+    def spoiled(*args):
+        out = np.array(real(*args))
+        out[entry] += by
+        return out
+
+    # the suite sees the spoiled function; the disc module keeps its own
+    monkeypatch.setattr(suites, "dsc",
+                        SimpleNamespace(**{**vars(dsc), name: spoiled}))
+    rep = run_suite("hyperdisc", RunConfig())
+    assert rep["passed"] is False
+    assert rep["failures"] == 1
+    assert rep["failing_seeds"] == [index]
 
 def test_run_all_suites_compare(tmp_path, monkeypatch, capsys):
     import runpy
