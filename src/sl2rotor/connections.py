@@ -37,6 +37,8 @@ from .core import (
     classify,
     cone_margins,
     mat_inv,
+    mul2,
+    planes,
     psl_dist,
     rotation,
     sl2_exp,
@@ -106,9 +108,9 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray,
     """Sample row i of an (Ns, M, 2, 2) grid at the times t[i, k].
 
     Linear interpolation between the circle nodes j/M, wrapping around;
-    returns (Ns, K, 2, 2).  group marks rows of SL(2) matrices (frames, gauge
-    maps): a neighbour pointing away from its partner is negated before
-    the blend, since both signs are one element of PSL(2,R).
+    returns (Ns, K, 2, 2), plane-major.  group marks rows of SL(2) matrices
+    (frames, gauge maps): a neighbour pointing away from its partner is
+    negated before the blend, since both signs are one element of PSL(2,R).
     """
     if not np.isfinite(t).all():
         raise ValueError("sample times must be finite")
@@ -119,32 +121,33 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray,
     x = t * m if group else t / (1.0 / m)
     j = np.floor(x)
     frac = x - j
-    # wrapped while still float, so no index overflows
-    j0, j1 = j % m, (j + 1) % m
-    # gather on the flattened rows: row i, node j is entry i * m + j
-    base = np.arange(0, len(rows) * m, m)[:, None]
-    flat = rows.reshape(-1, 2, 2)
-    a = np.take(flat, base + j0.astype(np.intp), axis=0)
-    b = np.take(flat, base + j1.astype(np.intp), axis=0)
+    # gather both neighbours by flat (row, node) index from the entry planes,
+    # views for a whole grid; j % m is wrapped while still float, so no index
+    # overflows, as the cheaper fmod shifted up where negative
+    base = np.arange(0.0, len(rows) * m, m)[:, None]
+    ent = np.moveaxis(rows, (-2, -1), (0, 1)).reshape(2, 2, -1)
+    a, b = (ent[:, :, (r + np.where(r < 0, base + m, base)).astype(np.intp)]
+            for r in (np.fmod(j, m), np.fmod(j + 1, m)))
     if group:
-        dot = (a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 0, 1]
-               + a[..., 1, 0] * b[..., 1, 0] + a[..., 1, 1] * b[..., 1, 1])
-        b[dot < 0] *= -1.0
-    a *= (1.0 - frac)[..., None, None]
-    b *= frac[..., None, None]
+        dot = a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] \
+            + a[1, 1] * b[1, 1]
+        np.negative(b, out=b, where=dot < 0)
+    a *= 1.0 - frac
+    b *= frac
     a += b
-    return a
+    return np.moveaxis(a, (0, 1), (-2, -1))
 
 
 def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
     # central derivative along axis 0 at node spacing dt, 2nd-order
     # one-sided at the ends of a non-periodic axis
-    if periodic:
-        out = np.roll(vals, -1, axis=0)
-        out -= np.roll(vals, 1, axis=0)
+    out = np.empty_like(vals)
+    if periodic:  # the neighbours wrap around
+        np.subtract(vals[2:], vals[:-2], out=out[1:-1])
+        np.subtract(vals[1], vals[-1], out=out[0])
+        np.subtract(vals[0], vals[-2], out=out[-1])
         out /= 2 * dt
         return out
-    out = np.empty_like(vals)
     out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
     out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
     out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
@@ -172,14 +175,12 @@ def _traceless(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _regauge(x: np.ndarray, xa: np.ndarray, dt: float) -> np.ndarray:
-    # x a x^-1 + (dx/dt) x^-1 projected to traceless, formed in place in
-    # xa = x a; t is the node axis of the frames x, the third from the end
-    inv = mat_inv(x)
-    np.matmul(xa, inv, out=xa)
-    dx = np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, True), 0, -3)
-    xa += dx @ inv
-    tr = xa[..., 0, 0] + xa[..., 1, 1]
-    return sub_identity(xa, 0.5 * tr, out=xa)
+    # (x a + dx/dt) x^-1 projected to traceless, from xa = x a, which is
+    # overwritten; t is the node axis of the frames x, the third from the end
+    xa += np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, True), 0, -3)
+    out = mul2(xa, mat_inv(x))
+    tr = out[..., 0, 0] + out[..., 1, 1]
+    return sub_identity(out, 0.5 * tr, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +366,9 @@ def cylinder_from_function(fn, ns: int = DEFAULT_RES,
 
 def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnection:
     """Radial-projection pullback: A(s, t) = a(t), flat by construction."""
-    return CylinderConnection(np.broadcast_to(
-        a.samples, (ns,) + a.samples.shape).copy())
+    grid = planes((ns,) + a.samples.shape)
+    grid[...] = a.samples
+    return CylinderConnection(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -404,30 +406,27 @@ def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
         raise HolonomyMismatch(
             f"a0 holonomy is {psl_dist(hol0, path.nodes[0]):.3g} from g(0)")
 
-    w = bump_weight(a0.times)[:, None, None]
+    hw = path.h * bump_weight(a0.times)[:, None, None]
     big_w = bump_cumulative(a0.times)[:, None, None]
     n = path.n_steps
-    h = path.h
-    # row i + 1 holds the increment h half (w gamma_i) half^-1 until the
-    # final running sum; the s-rows go through in blocks, so every block
-    # takes its step exponentials in one call and the temporaries stay
-    # a block deep
-    grid = np.empty((n + 1, a0.m, 2, 2))
+    # row i + 1 holds the increment h w Pi_i gamma_i Pi_i^-1 until the
+    # final running sum: the midpoint transport Pi_i exp(h/2 W gamma_i)
+    # conjugates gamma_i as Pi_i does, since exp(c gamma_i) commutes with
+    # gamma_i.  The s-rows go through in blocks, so every block takes its
+    # step exponentials in one call and the temporaries stay a block deep
+    grid = planes((n + 1, a0.m, 2, 2))
     grid[0] = a0.samples
-    pis = np.empty((_ROW_BLOCK + 1,) + grid.shape[1:])
+    pis = planes((_ROW_BLOCK + 1,) + grid.shape[1:])
     pis[0] = p_start
     for lo in range(0, n, _ROW_BLOCK):
         blk = gammas[lo:lo + _ROW_BLOCK, None]
         k = len(blk)
-        xi = big_w * blk
-        steps = sl2_exp(h * xi)
-        half = sl2_exp(0.5 * h * xi)
+        steps = sl2_exp(path.h * (big_w * blk))
         for i in range(k):
             np.matmul(pis[i], steps[i], out=pis[i + 1])
-        half = pis[:k] @ half
         rows = grid[lo + 1:lo + 1 + k]
-        np.matmul(half @ (w * blk), mat_inv(half), out=rows)
-        rows *= h
+        mul2(mul2(pis[:k], blk), mat_inv(pis[:k]), out=rows)
+        rows *= hw
         pis[0] = pis[k]
     np.add.accumulate(grid, axis=0, out=grid)
     return CylinderConnection(grid)
@@ -450,10 +449,10 @@ def gauge(conn: CylinderConnection, phi: np.ndarray) -> CylinderConnection:
     if phi.shape != conn.grid.shape:
         raise ValueError("phi grid must match the connection grid")
     phi0 = phi[0]
-    new_grid = _regauge(phi0, phi0 @ conn.grid, conn.dt)
+    new_grid = _regauge(phi0, mul2(phi0, conn.grid), conn.dt)
     # without a recorded frame (the identity) this is phi0 phi^-1
-    lead = phi0 if conn.s_frame is None else phi0 @ conn.s_frame
-    new_frame = lead @ mat_inv(phi)
+    lead = phi0 if conn.s_frame is None else mul2(phi0, conn.s_frame)
+    new_frame = mul2(lead, mat_inv(phi))
     return CylinderConnection(new_grid, s_frame=new_frame)
 
 
@@ -538,7 +537,8 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     beta = smoothstep(svals)
     u = np.clip((svals - 0.25) * 2.0, 0.0, 1.0)
     dbeta = 60.0 * u ** 2 * (1.0 - u) ** 2  # exact beta'
-    t_tw = (conn.t_nodes[None, :] - beta[:, None]) % 1.0
+    t_tw = conn.t_nodes[None, :] - beta[:, None]
+    t_tw -= np.floor(t_tw)  # % 1.0 to the bit, without the float remainder
     a_tw = _interp_rows(conn.grid, t_tw)
 
     # re-trivialize: dPsi/ds = -Psi A_s with A_s = -beta' A(s, t - beta),
@@ -547,14 +547,14 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     steps += a_tw[1:] * -dbeta[1:, None, None, None]
     steps *= -0.5 * conn.ds
     steps = sl2_exp(steps)
-    psi = np.empty_like(conn.grid)
+    psi = planes(conn.grid.shape)
     psi[0] = np.eye(2)
     for i in range(ns - 1):
         np.matmul(psi[i], steps[i], out=psi[i + 1])
     del steps
 
     # the twisted grid is freed before the re-gauge allocates
-    new_grid = psi @ a_tw
+    new_grid = mul2(psi, a_tw)
     del a_tw
     new_grid = _regauge(psi, new_grid, conn.dt)
 
@@ -563,7 +563,7 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     if conn.s_frame is None:
         new_frame = psi
     else:
-        new_frame = psi @ _interp_rows(conn.s_frame, t_tw, group=True)
+        new_frame = mul2(psi, _interp_rows(conn.s_frame, t_tw, group=True))
     return CylinderConnection(new_grid, s_frame=new_frame)
 
 

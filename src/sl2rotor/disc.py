@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupElement, LieElement, _cs_funcs
+from .core import GroupElement, LieElement, _cs_funcs, from_entries
 
 # |exp(i theta)| rounds up to a few ulps above 1; the closed disc allows that
 _EDGE = 1.0 + 4.0 * np.finfo(float).eps
@@ -124,11 +124,12 @@ def cayley(g) -> DiscIsometry:
                         (a - d) / 2.0 + 1j * ((b + c) / 2.0))
 
 
-def cayley_inv(iso: DiscIsometry) -> GroupElement:
-    p, q = iso.a, iso.b
-    return GroupElement(np.array([
-        [p.real + q.real, q.imag - p.imag],
-        [p.imag + q.imag, p.real - q.real]]))
+def cayley_inv(iso: DiscIsometry):
+    """The real matrix: a GroupElement, or a (..., 2, 2) array for a batch."""
+    p, q = np.asarray(iso.a), np.asarray(iso.b)
+    m = from_entries(p.real + q.real, q.imag - p.imag,
+                     p.imag + q.imag, p.real - q.real)
+    return GroupElement(m) if m.ndim == 2 else m
 
 
 def cayley_lie(x) -> DiscLieElement:
@@ -139,10 +140,12 @@ def cayley_lie(x) -> DiscLieElement:
                           _out((e - f) / 2.0 - 1j * ((p + q) / 2.0)))
 
 
-def cayley_inv_lie(d: DiscLieElement) -> LieElement:
-    eps, delta = d.beta.real, -d.beta.imag
-    return LieElement(np.array([[eps, delta - d.alpha],
-                                [delta + d.alpha, -eps]]))
+def cayley_inv_lie(d: DiscLieElement):
+    """The real matrix: a LieElement, or a (..., 2, 2) array for a batch."""
+    alpha, beta = np.asarray(d.alpha), np.asarray(d.beta)
+    eps, delta = beta.real, -beta.imag
+    x = from_entries(eps, delta - alpha, delta + alpha, -eps)
+    return LieElement(x) if x.ndim == 2 else x
 
 
 def disc_exp(gamma: DiscLieElement, t: float = 1.0) -> DiscIsometry:

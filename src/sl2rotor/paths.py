@@ -25,6 +25,7 @@ from .core import (
     PATH_CONE_SLACK,
     classify,
     cone_margins,
+    from_entries,
     kernel_vector,
     mat_inv,
     rotation,
@@ -504,11 +505,8 @@ def elliptic_about(theta, w):
     w = _in_disc(w)
     c, s = np.cos(theta), np.sin(theta)
     den = 1.0 - np.abs(w) ** 2
-    m = np.empty(np.broadcast(c, w).shape + (2, 2))
-    m[..., 0, 0] = c - s * 2.0 * w.imag / den
-    m[..., 0, 1] = -s * np.abs(1 + w) ** 2 / den
-    m[..., 1, 0] = s * np.abs(1 - w) ** 2 / den
-    m[..., 1, 1] = c + s * 2.0 * w.imag / den
+    m = from_entries(c - s * 2.0 * w.imag / den, -s * np.abs(1 + w) ** 2 / den,
+                     s * np.abs(1 - w) ** 2 / den, c + s * 2.0 * w.imag / den)
     return GroupElement(m) if m.ndim == 2 else m
 
 

@@ -1,5 +1,7 @@
 """Loop and cylinder connections: holonomy, curvature, gauge and twists."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from sl2rotor.core import (
     GroupElement,
     _cs_funcs,
     mat_inv,
+    mul2,
+    planes,
     psl_dist,
     rotation,
     sl2_exp,
@@ -187,10 +191,30 @@ def test_constructor_refines_to_requested_ns():
         cx.from_nonpositive_path(p, a0, ns=50)  # 49 steps not a multiple of 24
 
 
-def constructor_reference(path, a0, ns=None):
+def constructor_reference(path, a0, ns=None, mul=mul2):
     """The cylinder constructor stepped one s-row at a time, with the
     exponentials and the trace projection assembled from broadcast
-    identities."""
+    identities and the grid products formed by mul.  The increment takes
+    no half step: Ad of pi exp(h/2 W gamma_i) is Ad of pi on gamma_i,
+    because exp(c gamma_i) commutes with gamma_i."""
+    if ns is not None and ns != path.n_steps + 1:
+        path = path.refine((ns - 1) // path.n_steps)
+    gammas = path.left_cocycles()
+    a_start, p_start, t_nodes = a0.samples, a0.transports[:-1], a0.times
+    hw = path.h * cx.bump_weight(t_nodes)[:, None, None]
+    big_w = cx.bump_cumulative(t_nodes)
+    grid = np.empty((path.n_steps + 1, len(t_nodes), 2, 2))
+    grid[0] = a_start
+    pi = np.array(p_start, dtype=float)
+    for i in range(path.n_steps):
+        xi = big_w[:, None, None] * gammas[i]
+        grid[i + 1] = grid[i] + mul(mul(pi, gammas[i]), mat_inv(pi)) * hw
+        pi = pi @ exp_reference(path.h * xi)
+    return project_reference(grid)
+
+
+def constructor_reference_matmul(path, a0, ns=None):
+    """The per-row reference as it stood with the half step and @."""
     if ns is not None and ns != path.n_steps + 1:
         path = path.refine((ns - 1) // path.n_steps)
     gammas = path.left_cocycles()
@@ -230,6 +254,30 @@ def test_constructor_matches_per_row_reference(n_steps, ns, start):
     want = constructor_reference(p, a0, ns=ns)
     assert got.ns == (n_steps + 1 if ns is None else ns)
     assert_bits_equal(got.grid, want)
+
+
+# The grid products round entry by entry, as a_i0 b_0j + a_i1 b_1j, where
+# np.matmul rounds differently, the constructor takes no half step and the
+# re-gauge forms one product, not two.  Against the @ references these
+# cases differ by at most 3.0e-16 of the largest |entry| (constructor
+# 3.0e-16, twist 2.7e-16, gauge 2.0e-16); the bound leaves about 3x room
+MATMUL_BOUND = 1e-15
+
+
+def assert_near(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= MATMUL_BOUND * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_steps,ns", [(31, None), (32, None), (33, None),
+                                        (45, None), (24, 73), (24, 97)])
+@pytest.mark.parametrize("start", ["hyperbolic", "elliptic"])
+def test_constructor_is_near_the_matmul_reference(n_steps, ns, start):
+    g0 = (GroupElement.diagonal(1.8) if start == "hyperbolic"
+          else GroupElement(rotation(1.1)))
+    p, a0 = exp_family(cone_gamma(), g0, n_steps=n_steps, mt=40)
+    assert_near(cx.from_nonpositive_path(p, a0, ns=ns).grid,
+                constructor_reference_matmul(p, a0, ns=ns))
 
 
 @pytest.mark.parametrize("mt", [24, 96, 192, 256])
@@ -285,8 +333,19 @@ def test_gauge_shifts_rot_c_by_crossing_class():
         assert cx.rot_c(gauged, 1.0) - before == float(n)
 
 
-def gauge_reference(conn, phi):
-    """Gauge grid and frame, with a broadcast identity for no frame."""
+def gauge_reference(conn, phi, mul=mul2):
+    """Gauge grid and frame with the products formed by mul, and with a
+    broadcast identity for no frame."""
+    phi0 = phi[0]
+    dphi0 = cx._dt_of_grid(phi0, conn.dt, True)
+    grid = project_reference(mul(mul(phi0, conn.grid) + dphi0, mat_inv(phi0)))
+    old = conn.s_frame if conn.s_frame is not None else np.broadcast_to(
+        np.eye(2), conn.grid.shape)
+    return grid, mul(mul(phi0[None], old), mat_inv(phi))
+
+
+def gauge_reference_matmul(conn, phi):
+    """The gauge reference as it stood, with @ and two regauge products."""
     phi0 = phi[0]
     dphi0 = cx._dt_of_grid(phi0, conn.dt, True)
     inv0 = mat_inv(phi0)
@@ -305,6 +364,17 @@ def test_gauge_matches_broadcast_reference(n):
         grid, frame = gauge_reference(c, phi)
         assert_bits_equal(got.grid, grid)
         assert_bits_equal(got.s_frame, frame)
+
+
+@pytest.mark.parametrize("n", [-3, 2])
+def test_gauge_is_near_the_matmul_reference(n):
+    conn = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, 32), 2), 24)
+    phi = rotation_gauge(n, 24, 32)
+    for c in (conn, cx.dehn_twist(conn)):
+        got = cx.gauge(c, phi)
+        grid, frame = gauge_reference_matmul(c, phi)
+        assert_near(got.grid, grid)
+        assert_near(got.s_frame, frame)
 
 
 def test_gauge_preserves_curvature_margins():
@@ -400,12 +470,57 @@ def test_interp_rows_rejects_nonfinite_times():
 
 
 # ---------------------------------------------------------------------------
+# storage
+
+
+def plane_major(a):
+    return all(a[..., i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
+
+
+def test_grids_and_frames_are_plane_major():
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
+                       mt=32)
+    flat = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, 32), 2), 24)
+    twisted = cx.dehn_twist(flat)
+    gauged = cx.gauge(flat, rotation_gauge(2, 24, 32))
+    made = [cx.from_nonpositive_path(p, a0), flat, twisted, gauged,
+            cx.gauge(twisted, rotation_gauge(-1, 24, 32)),
+            cx.dehn_twist(gauged)]
+    for conn in made:
+        assert conn.grid.shape == (conn.ns, conn.mt, 2, 2)
+        assert plane_major(conn.grid)
+    for conn in made[2:]:
+        assert plane_major(conn.s_frame)
+
+
+def test_crossings_read_samples_without_copying_the_grid():
+    size = 128
+    conn = cx.dehn_twist(cx.pullback_flat(
+        cx.cover(cx.winding_loop(1, GAMMA_H, size), 2), size))
+    phi = planes((size, size, 2, 2))
+    phi[...] = rotation_gauge(2, size, size)
+    for read in (lambda: cx.rot_c(conn, 0.5),
+                 lambda: cx.gauge_crossing_class(
+                     phi, np.linspace(0.0, 1.0, size))):
+        read()
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < conn.grid.nbytes
+
+
+# ---------------------------------------------------------------------------
 # Dehn twist
 
 
-def twist_reference(conn):
-    """The pullback twist computed one sample and one step at a time."""
-    ns, mt = conn.ns, conn.mt
+def twist_pieces(conn):
+    """The pullback twist computed one sample and one step at a time: the
+    twisted grid, the frame psi, its t-derivative and the old frame at the
+    twisted times (a broadcast identity when there is none)."""
+    ns = conn.ns
     svals = np.linspace(0.0, 1.0, ns)
     beta = cx.smoothstep(svals)
     u = np.clip((svals - 0.25) * 2.0, 0.0, 1.0)
@@ -421,15 +536,29 @@ def twist_reference(conn):
         psi[i + 1] = psi[i] @ sl2_exp(-conn.ds * (0.5 * (a_s[i] + a_s[i + 1])))
     dpsi = np.stack([(np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0))
                      / (2 * conn.dt) for p in psi])
-    inv_psi = mat_inv(psi)
-    grid = psi @ a_tw @ inv_psi + dpsi @ inv_psi
-    tr = grid[..., 0, 0] + grid[..., 1, 1]
-    grid = grid - 0.5 * tr[..., None, None] * np.eye(2)
     if conn.s_frame is None:
         old = np.broadcast_to(np.eye(2), a_tw.shape)
     else:
         old = np.array([[interp_reference(conn.s_frame[i], t, True)
                          for t in times[i]] for i in range(ns)])
+    return a_tw, psi, dpsi, old
+
+
+def twist_reference(conn, mul=mul2):
+    """The twist with its grid products formed by mul."""
+    a_tw, psi, dpsi, old = twist_pieces(conn)
+    grid = mul(mul(psi, a_tw) + dpsi, mat_inv(psi))
+    return cx.CylinderConnection(project_reference(grid),
+                                 s_frame=mul(psi, old))
+
+
+def twist_reference_matmul(conn):
+    """The twist reference as it stood, with @ and two regauge products."""
+    a_tw, psi, dpsi, old = twist_pieces(conn)
+    inv_psi = mat_inv(psi)
+    grid = psi @ a_tw @ inv_psi + dpsi @ inv_psi
+    tr = grid[..., 0, 0] + grid[..., 1, 1]
+    grid = grid - 0.5 * tr[..., None, None] * np.eye(2)
     return cx.CylinderConnection(grid, s_frame=psi @ old)
 
 
@@ -443,6 +572,18 @@ def test_dehn_twist_matches_per_sample_reference(size, gauged):
     got, want = cx.dehn_twist(conn), twist_reference(conn)
     assert np.array_equal(got.grid, want.grid)
     assert np.array_equal(got.s_frame, want.s_frame)
+
+
+@pytest.mark.parametrize("size", [16, 24])
+@pytest.mark.parametrize("gauged", [False, True])
+def test_dehn_twist_is_near_the_matmul_reference(size, gauged):
+    conn = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, size), 2),
+                            size)
+    if gauged:
+        conn = cx.gauge(conn, rotation_gauge(3, size, size))
+    got, want = cx.dehn_twist(conn), twist_reference_matmul(conn)
+    assert_near(got.grid, want.grid)
+    assert_near(got.s_frame, want.s_frame)
 
 
 def test_dehn_twist_shifts_crossing_rot():

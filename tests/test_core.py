@@ -256,6 +256,32 @@ def test_sl2_exp_matches_broadcast_assembly():
         assert_bits_equal(sl2_exp(xs[5]), want[5])
 
 
+# batches that one branch of C and S takes whole (cos, cosh, the series,
+# which holds both signed zeros), and one that mixes all three
+CS_BATCHES = {
+    "pos": np.geomspace(1e-8, 40.0, 37),
+    "neg": -np.geomspace(1e-8, 40.0, 37),
+    "small": np.array([0.0, -0.0, 1e-300, -1e-300, 3e-9, -3e-9,
+                       np.nextafter(1e-8, 0.0), -np.nextafter(1e-8, 0.0)]),
+}
+CS_BATCHES["mixed"] = np.concatenate(list(CS_BATCHES.values()))[::-1]
+
+
+@pytest.mark.parametrize("name", list(CS_BATCHES))
+def test_cs_funcs_batch_matches_per_entry_calls(name):
+    q = CS_BATCHES[name]
+    c, s = _cs_funcs(q)
+    for k, qk in enumerate(q):
+        ck, sk = _cs_funcs(qk)
+        assert ck.shape == sk.shape == ()
+        assert_bits_equal(c[k], ck)
+        assert_bits_equal(s[k], sk)
+    # a two-axis batch gives the same bits
+    c2, s2 = _cs_funcs(q.reshape(-1, 1) * np.ones(2))
+    assert_bits_equal(c2[:, 1], c)
+    assert_bits_equal(s2[:, 0], s)
+
+
 def test_rotation_stacks_match_single_angles():
     th = np.linspace(-7.0, 7.0, 29).reshape(29, 1) + np.array([0.0, -0.0, 1e-9])
     stack = rotation(th)

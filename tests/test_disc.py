@@ -40,6 +40,25 @@ def test_cayley_lie_round_trip_and_margin(a, b, c):
     assert abs(d.cone_margin() - x.cone_margin()) < 1e-12
 
 
+def test_cayley_inverses_take_batches():
+    m = np.stack([np.eye(2), np.diag([2.0, 0.5]),
+                  sl2_exp(random_lie(np.random.default_rng(4), 0.8))])
+    back = dsc.cayley_inv(dsc.cayley(m))
+    assert back.shape == (3, 2, 2)
+    assert np.abs(back - m).max() < 1e-14
+    assert np.array_equal(back[:2], m[:2])
+    # the 0-d case is a GroupElement, rescaled to determinant 1
+    one = dsc.cayley_inv(dsc.cayley(m[2]))
+    assert isinstance(one, GroupElement)
+    assert np.abs(one.m - back[2]).max() < 1e-15
+    x = np.stack([random_lie(np.random.default_rng(k), 0.6) for k in range(3)])
+    xb = dsc.cayley_inv_lie(dsc.cayley_lie(x))
+    assert xb.shape == (3, 2, 2)
+    assert np.abs(xb - x).max() < 1e-14
+    one = dsc.cayley_inv_lie(dsc.cayley_lie(x[1]))
+    assert isinstance(one, LieElement) and np.array_equal(one.x, xb[1])
+
+
 def test_disc_cone_margin_formula():
     d = dsc.DiscLieElement(0.5, 0.3 - 0.4j)
     assert d.cone_margin() == 0.5 - 0.5
