@@ -44,7 +44,7 @@ from .core import (
     sl2_exp,
     sub_identity,
 )
-from .paths import GroupPath, geodesic_refine
+from .paths import GroupPath
 
 DEFAULT_RES = 256
 # s-rows per step of the cylinder constructor's batched recursion
@@ -208,21 +208,18 @@ class LoopConnection:
         return np.arange(self.m) / self.m
 
     @cached_property
-    def _transports_and_lift(self):
-        # one set of step exponentials serves the products and the lift
-        return cover_mod.products_and_lift(_step_logs(self.samples))
-
-    @property
     def transports(self) -> np.ndarray:
         """Partial transports Pi(t_j), j = 0..M, with Pi(0) = 1."""
-        return self._transports_and_lift[0]
+        return cover_mod.left_products(sl2_exp(_step_logs(self.samples)))
 
     def holonomy(self) -> GroupElement:
-        return self.lifted_holonomy.g
+        return GroupElement(self.transports[-1])
 
-    @property
+    @cached_property
     def lifted_holonomy(self) -> cover_mod.LiftedElement:
-        return self._transports_and_lift[1]
+        # tracked along the transports, with no second exponential call
+        return cover_mod.track_lift_along(self.transports,
+                                          _step_logs(self.samples))
 
     def rot(self) -> float:
         return cover_mod.rot(self.lifted_holonomy)
@@ -294,6 +291,7 @@ class CylinderConnection:
                 raise ValueError("frame grid must match the connection grid")
             if not np.isfinite(f).all():
                 raise ValueError("frame grid must be finite")
+            f = f.view()  # frozen without freezing the caller's array
             f.setflags(write=False)
             object.__setattr__(self, "s_frame", f)
 
@@ -400,8 +398,7 @@ def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
             f"path cocycles leave the nonpositive cone by {-worst:.3g}")
 
     # the start transports at the m t nodes, and the a0 holonomy at t = 1
-    trans = cover_mod.left_products(sl2_exp(_step_logs(a0.samples)))
-    p_start, hol0 = trans[:-1], trans[-1]
+    p_start, hol0 = a0.transports[:-1], a0.transports[-1]
     if psl_dist(hol0, path.nodes[0]) > HOLONOMY_SNAP:
         raise HolonomyMismatch(
             f"a0 holonomy is {psl_dist(hol0, path.nodes[0]):.3g} from g(0)")
@@ -478,11 +475,10 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
 def _lift_of_frames(nodes: np.ndarray) -> cover_mod.LiftedElement:
     # tracked lift of u -> F(u) F(0)^-1 for group samples F (frames or
     # gauge maps) along a crossing; blended samples lose unit determinant,
-    # so it is divided out, and each step is refined geodesically into 4
+    # so it is divided out
     det = nodes[:, 0, 0] * nodes[:, 1, 1] - nodes[:, 0, 1] * nodes[:, 1, 0]
     nodes = nodes / np.sqrt(det)[:, None, None]
-    return cover_mod.track_lift_along(
-        geodesic_refine(nodes @ mat_inv(nodes[0])[None], 4))
+    return cover_mod.track_lift_along(nodes @ mat_inv(nodes[0])[None])
 
 
 # ---------------------------------------------------------------------------

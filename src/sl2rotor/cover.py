@@ -13,7 +13,6 @@ direction forward has rot = theta / pi).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,54 +247,55 @@ def left_products(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def track_lift_along(nodes: np.ndarray) -> LiftedElement:
+def track_lift_along(nodes: np.ndarray,
+                     logs: np.ndarray | None = None) -> LiftedElement:
     """Continuous lift of the endpoint of a matrix path.
 
-    nodes is an (N+1, 2, 2) array of det-1 matrices forming a path that is
-    resolvable at this sampling: consecutive nodes must move every
-    direction by less than pi/2.  Starts at the lift of nodes[0] with
-    anchor in [0, pi), the standard lift, and returns the endpoint's lift.
+    nodes is an (N+1, 2, 2) array of det-1 matrices.  Step j runs along
+    s -> exp(s L_j) nodes_j, where L_j is logs_j when logs is given and
+    otherwise the principal log of nodes_{j+1} nodes_j^-1, whose trace
+    must exceed -2 (ValueError otherwise).  The lift follows the first
+    column nodes_j e0 as a vector: a principal-log step turns it by less
+    than pi, so its wrapped angle increment is exact.  An elliptic step
+    log (det L_j = theta^2 > 0) turns it monotonically, in the direction
+    of sign(L_j[1, 0]) since v x L_j v is a definite form, by an angle in
+    [k pi, (k + 1) pi] with k = floor(theta / pi); one round per step adds
+    the full turns.  Starts at the lift of nodes[0] with anchor in
+    [0, pi), the standard lift, and returns the endpoint's lift.
     """
     nodes = np.asarray(nodes, dtype=float)
-    # image angles of direction 0, the angles of the first columns
+    # the angles of the first columns, as vectors
     a = np.arctan2(nodes[:, 1, 0], nodes[:, 0, 0])
-    val = a[0] % PI + float(_wrap_increments(a[1:] - a[:-1]).sum())
+    d = (np.diff(a) + PI) % (2.0 * PI) - PI
+    if logs is None:
+        # tr(nodes_{j+1} nodes_j^-1), by the adjugate inverse
+        n0, n1 = nodes[:-1], nodes[1:]
+        tr = (n1[:, 0, 0] * n0[:, 1, 1] + n1[:, 1, 1] * n0[:, 0, 0]
+              - n1[:, 0, 1] * n0[:, 1, 0] - n1[:, 1, 0] * n0[:, 0, 1])
+        if not (tr > -2.0).all():
+            j = int(np.argmax(~(tr > -2.0)))
+            raise ValueError(f"path step {j} has trace {tr[j]} <= -2: no "
+                             "principal log to follow")
+    else:
+        logs = np.asarray(logs, dtype=float)
+        if logs.shape != (len(d), 2, 2):
+            raise ValueError(f"need {len(d)} step logs, got {logs.shape}")
+        det = -logs[:, 0, 0] ** 2 - logs[:, 0, 1] * logs[:, 1, 0]
+        theta = np.sqrt(np.maximum(det, 0.0))
+        turn = np.sign(logs[:, 1, 0]) * (np.floor(theta / PI) + 0.5) * PI
+        d += np.where(det > 0.0, 2.0 * PI * np.round((turn - d) / (2.0 * PI)),
+                      0.0)
+    val = a[0] % PI + float(d.sum())
     g = GroupElement(nodes[-1])
     e = act_angle(g, 0.0) % PI  # anchor of the standard lift of the end
     n = _deck_index(val - e, "tracked endpoint offset")
     return LiftedElement(g, e + n * PI)
 
 
-def products_and_lift(logs: np.ndarray) -> tuple[np.ndarray, LiftedElement]:
-    """Partial products of exp(logs_j), as left_products forms them, and
-    the lift of the full product exp(logs_{n-1}) ... exp(logs_0).
-
-    The lift is tracked continuously from the identity along the partial
-    products, with each factor cut into equal pieces of log norm at most
-    0.1, so that no tracked step turns a direction by pi/2.  The lift of
-    a pointwise product of paths is the product of their lifts, so this
-    is the one lifter that subdivides.
-    """
-    logs = np.asarray(logs, dtype=float)
-    n = len(logs)
-    # pieces of Frobenius log norm at most 0.1
-    sq = np.add.reduce(logs * logs, axis=(1, 2)).max(initial=0.0)
-    sub = max(1, math.ceil(math.sqrt(sq) / 0.1))
-    # exp(k/sub logs_j) for k = 1..sub; k = sub is the full factor
-    taus = np.arange(1, sub + 1) / sub
-    pieces = sl2_exp(taus[:, None, None] * logs[:, None])
-    prods = left_products(pieces[:, -1])
-    nodes = np.empty((n * sub + 1, 2, 2))
-    nodes[::sub] = prods
-    inner = nodes[:-1].reshape(n, sub, 2, 2)[:, 1:]
-    np.matmul(pieces[:, :-1], prods[:-1, None], out=inner)
-    return prods, track_lift_along(nodes)
-
-
 def lift_of_products(logs: np.ndarray) -> LiftedElement:
     """Lift of the ordered product exp(logs_{n-1}) ... exp(logs_0),
-    reached continuously from the identity (see products_and_lift)."""
-    return products_and_lift(logs)[1]
+    tracked from the identity along s -> exp(s logs_j) P_j."""
+    return track_lift_along(left_products(sl2_exp(logs)), logs)
 
 
 def rot_along(nodes: np.ndarray) -> tuple[LiftedElement, float]:

@@ -56,7 +56,8 @@ def _in_disc(w, closed: bool = False) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, since the fields may be arrays
+@dataclass(frozen=True, eq=False)
 class DiscIsometry:
     """Disc Moebius map w -> (a w + b)/(conj(b) w + conj(a)), |a|^2-|b|^2=1."""
 
@@ -90,7 +91,7 @@ class DiscIsometry:
         return DiscIsometry(np.conj(self.a), -self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscLieElement:
     """su(1,1) element [[i alpha, conj(beta)], [beta, -i alpha]]."""
 

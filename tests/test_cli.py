@@ -13,6 +13,7 @@ from sl2rotor.core import sl2_exp
 from sl2rotor.paths import GroupPath
 from sl2rotor.serialize import (
     _decode,
+    _encode,
     cylinder_to_obj,
     dump_json,
     loop_to_obj,
@@ -215,6 +216,23 @@ def test_verify_loop_exponentiates_its_steps_once(capsys, tmp_path,
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert len(shapes) == 1 and shapes[0][0] == 128
+
+
+def test_verify_refuses_a_path_step_without_a_principal_log(capsys,
+                                                          tmp_path):
+    # a step of trace -2.5: rot_along has no principal log to follow, and
+    # a path artifact with it is refused before any claim is read, by the
+    # node-step bound; GroupPath aligns node signs, and a step within
+    # MAX_STEP has trace at least 1.875, so the trace guard is for raw nodes
+    nodes = np.stack([np.eye(2), -np.diag([2.0, 0.5])])
+    with pytest.raises(ValueError, match="trace"):
+        cover.rot_along(nodes)
+    f = tmp_path / "path.json"
+    dump_json({"kind": "group-path", "n": 1, "data": _encode(nodes),
+               "claims": {"rot_gain": 1.0}}, str(f))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out)["passed"] is False
 
 
 @pytest.mark.parametrize("res", ["16", "48"])

@@ -94,6 +94,16 @@ def test_connections_reject_non_finite_values():
                                   s_frame=frame)
 
 
+def test_cylinder_freezes_a_view_of_the_callers_frame():
+    grid = np.broadcast_to(cx.winding_loop(1, GAMMA_H, 16).samples,
+                           (4, 16, 2, 2))
+    f = np.broadcast_to(np.eye(2), grid.shape).copy()
+    c = cx.CylinderConnection(grid, s_frame=f)
+    assert f.flags.writeable
+    assert not c.s_frame.flags.writeable
+    assert np.shares_memory(c.s_frame, f)  # a view, not a copy
+
+
 def test_cylinder_needs_three_rows():
     base = cx.winding_loop(1, GAMMA_H, 16).samples
     with pytest.raises(ValueError, match="Ns >= 3"):
@@ -289,6 +299,21 @@ def test_rows_and_loops_share_one_step_rule(mt):
     for i in range(conn.ns):
         assert_bits_equal(conn.holonomy_loop(i).m,
                           cx.LoopConnection(conn.grid[i]).holonomy().m)
+
+
+def test_constructor_reuses_the_start_transports(monkeypatch):
+    # a0's step logs are exponentiated once, when holonomy asks first; the
+    # constructor's own calls exponentiate its 24 s-steps, not a0's 40
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
+                       mt=40)
+    calls = []
+    real = cx.sl2_exp
+    for mod in (cx, cover):
+        monkeypatch.setattr(mod, "sl2_exp",
+                            lambda x: calls.append(len(x) == a0.m) or real(x))
+    a0.holonomy()
+    cx.from_nonpositive_path(p, a0)
+    assert sum(calls) == 1
 
 
 @pytest.mark.parametrize("mt", [40], ids=["True"])  # the id keeps the name

@@ -1,10 +1,13 @@
 """Universal cover lifts, rotation numbers, and the parity representation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2rotor import connections as cx
 from sl2rotor import cover
 from sl2rotor.core import (
     GroupElement,
@@ -14,6 +17,7 @@ from sl2rotor.core import (
     rotation,
     sl2_exp,
 )
+from sl2rotor.paths import geodesic_refine
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -177,8 +181,9 @@ def test_track_lift_along_rotation_sweep():
     assert np.array_equal(tracked.g.m, end.g.m)
 
 
-# the lifters as they were before lift_of_products became the one
-# subdividing lifter; each is a copy kept as a reference
+# the lifters as they were before the exact step rule: line angles walked
+# in steps small enough for the nearest-mod-pi wrap; each is kept as an
+# independent reference
 
 
 def track_reference(nodes):
@@ -310,18 +315,97 @@ def test_left_products_matches_the_sequential_recursion(n):
 
 
 def test_products_and_lift_share_one_exponential_call(monkeypatch):
-    logs = 0.3 * np.stack([random_lie(np.random.default_rng(i))
-                           for i in range(100)])
+    # a loop's transports and its lifted holonomy come from one set of step
+    # exponentials
+    samples = 30.0 * np.stack([random_lie(np.random.default_rng(i))
+                               for i in range(100)])
+    loop = cx.LoopConnection(samples)
+    logs = cx._step_logs(loop.samples)
     calls = []
     real = cover.sl2_exp
-    monkeypatch.setattr(cover, "sl2_exp",
-                        lambda x: calls.append(x.shape) or real(x))
-    prods, lift = cover.products_and_lift(logs)
+    for mod in (cx, cover):
+        monkeypatch.setattr(mod, "sl2_exp",
+                            lambda x: calls.append(x.shape) or real(x))
+    prods, lift = loop.transports, loop.lifted_holonomy
     assert len(calls) == 1
     # the products are left_products of the full factors, bit for bit
     assert np.array_equal(prods, cover.left_products(real(logs)))
     assert np.array_equal(lift.g.m, GroupElement(prods[-1]).m)
     assert abs(lift.anchor - lift_of_products_reference(logs).anchor) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the exact step rule
+
+
+def conjugated(h, nodes):
+    return h @ nodes @ mat_inv(h)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("step", [0.3, 0.55, 0.9, -0.7])
+def test_rot_along_gain_survives_refinement(step, k):
+    # steps of up to 0.9 pi, which no line-angle wrap resolves (it reads
+    # five 0.55 pi steps as five -0.45 pi steps); GroupPath refuses steps
+    # this long, so the node arrays are refined by the geodesic subdivision
+    # that GroupPath.refine runs
+    nodes = rotation(step * np.pi * np.arange(6))
+    h = sl2_exp(random_lie(np.random.default_rng(k), 0.8))
+    for path, exact in ((nodes, True), (conjugated(h, nodes), False),
+                        (conjugated(np.diag([4.0, 0.25]), nodes), False)):
+        _, gain = cover.rot_along(path)
+        _, fine = cover.rot_along(geodesic_refine(path, k))
+        assert fine == gain
+        if exact:
+            assert abs(gain - 5 * step) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 9.5), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 4.0),
+       st.floats(0.0, np.pi), st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       st.floats(-3.0, 3.0), st.booleans(), st.permutations(range(3)),
+       st.integers(2, 8))
+def test_lift_of_products_is_split_invariant(theta, sign, log_cond, phi, hyp,
+                                             shear, upper, order, k):
+    # an elliptic factor of many turns conjugated with condition number up
+    # to 1e4, with a hyperbolic and a parabolic one; splitting every factor
+    # into k equal steps follows the same path
+    s = 10.0 ** (log_cond / 2)
+    h = rotation(phi) @ np.diag([s, 1.0 / s])
+    ell = sign * theta * conjugated(h, J)
+    a, b, c = hyp
+    par = shear * (SHEAR if upper else SHEAR.T)
+    logs = np.stack([ell, np.array([[a, b], [c, -a]]), par])[list(order)]
+    got = cover.lift_of_products(logs)
+    split = cover.lift_of_products(np.repeat(logs / k, k, axis=0))
+    assert abs(got.anchor - split.anchor) < 1e-6
+
+
+@pytest.mark.parametrize("c", [300.0, 1e4])
+def test_one_param_lift_memory_is_bounded(c):
+    # a rotation by 2 conjugated by diag(c, 1/c): log norm 2 c^2
+    gamma = 2.0 * conjugated(np.diag([c, 1.0 / c]), J)
+    tracemalloc.start()
+    try:
+        got = cover.one_param_lift(gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    split = cover.lift_of_products(np.repeat(gamma[None] / 8, 8, axis=0))
+    assert abs(got.anchor - split.anchor) < 1e-9
+    # the first column turns by less than a half turn, counterclockwise
+    assert np.pi / 2 < got.anchor < np.pi
+
+
+@pytest.mark.parametrize("end", [-np.eye(2), rotation(np.pi),
+                                 -np.diag([2.0, 0.5])])
+def test_rot_along_refuses_steps_without_a_principal_log(end):
+    nodes = np.stack([rotation(0.2), rotation(0.2) @ end])
+    with pytest.raises(ValueError, match="trace"):
+        cover.rot_along(nodes)
+    with pytest.raises(ValueError, match="step logs"):
+        cover.track_lift_along(nodes, np.zeros((2, 2, 2)))
 
 
 def test_zero_rot_lift():

@@ -59,6 +59,15 @@ def test_cayley_inverses_take_batches():
     assert isinstance(one, LieElement) and np.array_equal(one.x, xb[1])
 
 
+def test_disc_batches_compare_and_hash_by_identity():
+    m = np.stack([np.eye(2), np.diag([2.0, 0.5])])
+    x = np.stack([random_lie(np.random.default_rng(k), 0.6) for k in range(2)])
+    for make, arg in ((dsc.cayley, m), (dsc.cayley_lie, x)):
+        a, b = make(arg), make(arg)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_disc_cone_margin_formula():
     d = dsc.DiscLieElement(0.5, 0.3 - 0.4j)
     assert d.cone_margin() == 0.5 - 0.5
