@@ -4,15 +4,18 @@ Artifacts land in --out (default ./artifacts) as hex-float JSON; the
 cylinder is chained from the inverted hyperbolic path it stores next to.
 With --compare DIR, each artifact and its .verify.json report is compared
 byte for byte with the file of the same name in DIR, and every file that
-differs (or is missing on either side) is named.  Exit status is 1 if a
-build or verification failed, plus the number of differing files, capped
-at 99.
+differs (or is missing on either side) is named; a differing .verify.json
+report is followed by its differing fields, as run_all_suites.py prints
+them.  Exit status is 1 if a build or verification failed, plus the
+number of differing files, capped at 99.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
+from run_all_suites import describe_diffs  # scripts/ leads sys.path
 from sl2rotor.cli import entry
 
 
@@ -53,12 +56,17 @@ def main() -> int:
         print(f"{kind:<16} -> {path}  {status}")
         bad += code != 0
         if args.compare is not None:
-            for new in (path, path.with_suffix(".verify.json")):
+            report = path.with_suffix(".verify.json")
+            for new in (path, report):
                 ref = args.compare / new.name
-                if not (new.is_file() and ref.is_file()
-                        and new.read_bytes() == ref.read_bytes()):
+                both = new.is_file() and ref.is_file()
+                if not (both and new.read_bytes() == ref.read_bytes()):
                     print(f"    differs: {new} vs {ref}")
                     differ.append(new.name)
+                    if both and new == report:
+                        lines, _ = describe_diffs(json.loads(ref.read_text()),
+                                                  json.loads(new.read_text()))
+                        print("\n".join(lines))
     if args.compare is not None:
         print(f"{len(differ)} of {2 * len(jobs)} files differ from "
               f"{args.compare}" + (f": {' '.join(differ)}" if differ else ""))

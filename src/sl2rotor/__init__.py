@@ -18,12 +18,10 @@ from .connections import (
     PantsHolonomyData,
     constant_loop,
     cover as loop_cover,
-    cylinder_from_function,
     dehn_twist,
     from_nonpositive_path,
     gauge,
     gauge_crossing_class,
-    loop_from_function,
     milnor_wood_check,
     pullback_flat,
     rot_c,
@@ -58,7 +56,6 @@ from .cover import (
     rot_iterative,
     sl2_rep,
     track_lift_along,
-    zero_rot_lift,
 )
 from .disc import (
     DiscIsometry,

@@ -35,6 +35,7 @@ from .core import (
     PATH_CONE_SLACK,
     TAU_CLASS,
     classify,
+    cone_defects,
     cone_margins,
     mat_inv,
     mul2,
@@ -44,7 +45,7 @@ from .core import (
     sl2_exp,
     sub_identity,
 )
-from .paths import GroupPath
+from .paths import GroupPath, align_signs
 
 DEFAULT_RES = 256
 # s-rows per step of the cylinder constructor's batched recursion
@@ -225,11 +226,6 @@ class LoopConnection:
         return cover_mod.rot(self.lifted_holonomy)
 
 
-def loop_from_function(fn, m: int = DEFAULT_RES) -> LoopConnection:
-    t = np.arange(m) / m
-    return LoopConnection(np.stack([np.asarray(fn(tj), dtype=float) for tj in t]))
-
-
 def constant_loop(xi: np.ndarray, m: int = DEFAULT_RES) -> LoopConnection:
     xi = np.asarray(xi, dtype=float)
     return LoopConnection(np.broadcast_to(xi, (m, 2, 2)).copy())
@@ -352,16 +348,6 @@ class CylinderConnection:
         return cover_mod.rot(l1) - cover_mod.rot(l0)
 
 
-def cylinder_from_function(fn, ns: int = DEFAULT_RES,
-                           mt: int = DEFAULT_RES) -> CylinderConnection:
-    dt = 1.0 / mt
-    grid = np.stack([
-        np.stack([np.asarray(fn(i / (ns - 1), j * dt), dtype=float)
-                  for j in range(mt)])
-        for i in range(ns)])
-    return CylinderConnection(grid)
-
-
 def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnection:
     """Radial-projection pullback: A(s, t) = a(t), flat by construction."""
     grid = planes((ns,) + a.samples.shape)
@@ -392,10 +378,11 @@ def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
             raise ValueError("ns - 1 must be a multiple of the path step count")
         path = path.refine((ns - 1) // path.n_steps)
     gammas = path.left_cocycles()
-    worst = cone_margins(-gammas).min()
-    if worst < -PATH_CONE_SLACK:
+    worst = float(cone_defects(-gammas).max())
+    if worst > PATH_CONE_SLACK:
         raise NotNonpositive(
-            f"path cocycles leave the nonpositive cone by {-worst:.3g}")
+            f"path cocycles leave the nonpositive cone: cone defect "
+            f"{worst!r} exceeds PATH_CONE_SLACK = {PATH_CONE_SLACK!r}")
 
     # the start transports at the m t nodes, and the a0 holonomy at t = 1
     p_start, hol0 = a0.transports[:-1], a0.transports[-1]
@@ -475,9 +462,13 @@ def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
 def _lift_of_frames(nodes: np.ndarray) -> cover_mod.LiftedElement:
     # tracked lift of u -> F(u) F(0)^-1 for group samples F (frames or
     # gauge maps) along a crossing; blended samples lose unit determinant,
-    # so it is divided out
+    # so it is divided out.  F and -F are one PSL(2,R) element, so signs
+    # are aligned where a step has no principal log; elsewhere they are
+    # kept, as a coarse map may turn by nearly pi between samples
     det = nodes[:, 0, 0] * nodes[:, 1, 1] - nodes[:, 0, 1] * nodes[:, 1, 0]
     nodes = nodes / np.sqrt(det)[:, None, None]
+    if not (cover_mod.step_traces(nodes) > -2.0).all():
+        nodes = align_signs(nodes)
     return cover_mod.track_lift_along(nodes @ mat_inv(nodes[0])[None])
 
 

@@ -16,7 +16,8 @@ Conventions used throughout the package:
 
   has minimum alpha - sqrt(delta^2 + eps^2) and maximum
   alpha + sqrt(delta^2 + eps^2), so the nonnegative cone {q >= 0
-  everywhere} is exactly {alpha >= sqrt(delta^2 + eps^2)};
+  everywhere} is exactly {alpha >= sqrt(delta^2 + eps^2)}, i.e. det >= 0
+  and alpha >= 0 (see cone_defects);
 * T(g) = c - b, so rotation by theta has T = 2 sin(theta), and
   T(g^2) = T(g) tr(g).
 """
@@ -32,8 +33,8 @@ import numpy as np
 # decisions that read each.
 TAU_CLASS = 1e-9    # half width of the |trace| = 2 band
 EPS_EQ = 1e-9       # matrix equality threshold, Frobenius, modulo sign
-MARGIN = 1e-8       # curvature and flatness slack, artifact cone bounds
-PATH_CONE_SLACK = 1e-9  # slack of a path's cocycles on the cone boundary
+MARGIN = 1e-8       # curvature margin and flatness slack
+PATH_CONE_SLACK = 1e-9  # bound on the cone defects of a path's cocycles
 HOLONOMY_SNAP = 1e-6    # holonomies that must agree, Frobenius mod sign
 CLAIM_MATCH = 1e-9      # a recomputed artifact claim against its stored value
 
@@ -163,7 +164,7 @@ class LieElement:
         return float(self.x[0, 0])
 
     def cone_margin(self) -> float:
-        return self.alpha - float(np.hypot(self.delta, self.eps))
+        return float(cone_margins(self.x))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.x))
@@ -448,3 +449,12 @@ def cone_margins(x: np.ndarray) -> np.ndarray:
     delta = 0.5 * (x[..., 1, 0] + x[..., 0, 1])
     eps = x[..., 0, 0]
     return alpha - np.hypot(delta, eps)
+
+
+def cone_defects(x: np.ndarray) -> np.ndarray:
+    """max(-det x, min(alpha, 0)^2) for a batch (...,2,2) of traceless x:
+    0 exactly on the closed nonnegative cone, positive off it.  det x is
+    conjugation-invariant; the alpha term only tells the two cones apart."""
+    det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+    alpha = 0.5 * (x[..., 1, 0] - x[..., 0, 1])
+    return np.maximum(-det, np.minimum(alpha, 0.0) ** 2)

@@ -247,6 +247,13 @@ def left_products(factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def step_traces(nodes: np.ndarray) -> np.ndarray:
+    """tr(nodes_{j+1} nodes_j^-1) of det-1 nodes, by the adjugate inverse."""
+    n0, n1 = nodes[:-1], nodes[1:]
+    return (n1[:, 0, 0] * n0[:, 1, 1] + n1[:, 1, 1] * n0[:, 0, 0]
+            - n1[:, 0, 1] * n0[:, 1, 0] - n1[:, 1, 0] * n0[:, 0, 1])
+
+
 def track_lift_along(nodes: np.ndarray,
                      logs: np.ndarray | None = None) -> LiftedElement:
     """Continuous lift of the endpoint of a matrix path.
@@ -268,10 +275,7 @@ def track_lift_along(nodes: np.ndarray,
     a = np.arctan2(nodes[:, 1, 0], nodes[:, 0, 0])
     d = (np.diff(a) + PI) % (2.0 * PI) - PI
     if logs is None:
-        # tr(nodes_{j+1} nodes_j^-1), by the adjugate inverse
-        n0, n1 = nodes[:-1], nodes[1:]
-        tr = (n1[:, 0, 0] * n0[:, 1, 1] + n1[:, 1, 1] * n0[:, 0, 0]
-              - n1[:, 0, 1] * n0[:, 1, 0] - n1[:, 1, 0] * n0[:, 0, 1])
+        tr = step_traces(nodes)
         if not (tr > -2.0).all():
             j = int(np.argmax(~(tr > -2.0)))
             raise ValueError(f"path step {j} has trace {tr[j]} <= -2: no "
@@ -316,12 +320,3 @@ def one_param_lift(gamma: np.ndarray, t: float = 1.0) -> LiftedElement:
     s from 0 to t, which pins the anchor without any classification step.
     """
     return lift_of_products(t * np.asarray(gamma, dtype=float)[None])
-
-
-def zero_rot_lift(g: GroupElement) -> LiftedElement:
-    """The unique lift with rot 0; g must not be elliptic."""
-    l = lift_of(g)
-    r = rot(l)
-    if r != np.floor(r):
-        raise ValueError(f"no zero-rot lift: rot band is fractional ({r})")
-    return deck(l, -int(r))

@@ -1,10 +1,9 @@
 """Sampled paths in PSL(2,R) and the nonnegative-path constructors.
 
 A path is stored as det-1 node matrices on the uniform grid t_i = i/N.
-Nonnegativity means every discrete derivative cocycle g' g^-1 lies in the
-nonnegative cone of traceless matrices; the cone is invariant under
-conjugation, so the left version g^-1 g' agrees about membership and both
-are exposed.
+Nonnegativity means every discrete derivative cocycle lies in the
+nonnegative cone of traceless matrices, decided by the cone defects of the
+left cocycles g^-1 g'; margins() reports the right ones g' g^-1.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .core import (
     NonUnimodular,
     PATH_CONE_SLACK,
     classify,
+    cone_defects,
     cone_margins,
     from_entries,
     kernel_vector,
@@ -126,13 +126,16 @@ class GroupPath:
     def margins(self) -> np.ndarray:
         return cone_margins(self.right_cocycles())
 
+    def defects(self, nonpos: bool = False) -> np.ndarray:
+        """cone_defects of the left cocycles, negated if nonpos."""
+        x = self.left_cocycles()
+        return cone_defects(-x if nonpos else x)
+
     def is_nonneg(self) -> bool:
-        return bool(self.margins().min() >= -PATH_CONE_SLACK)
+        return bool(self.defects().max() <= PATH_CONE_SLACK)
 
     def is_nonpos(self) -> bool:
-        # gamma is in the nonpositive cone iff -gamma is in the nonnegative one
-        side_margins = cone_margins(-self.right_cocycles())
-        return bool(side_margins.min() >= -PATH_CONE_SLACK)
+        return bool(self.defects(nonpos=True).max() <= PATH_CONE_SLACK)
 
     def inverted(self) -> "GroupPath":
         return GroupPath(mat_inv(self.nodes))

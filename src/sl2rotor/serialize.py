@@ -213,10 +213,6 @@ def load_obj(path: str) -> dict:
     return obj
 
 
-def load_artifact(path: str):
-    return obj_to_artifact(load_obj(path))
-
-
 def parse_matrix_literal(text: str) -> np.ndarray:
     """JSON 2x2 array literal -> float matrix; ParseError on anything else."""
     try:

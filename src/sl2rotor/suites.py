@@ -20,7 +20,9 @@ from .core import (
     CLAIM_MATCH,
     GroupElement,
     MARGIN,
+    PATH_CONE_SLACK,
     classify,
+    cone_defects,
     cone_margins,
     psl_dist,
     random_conjugate,
@@ -605,15 +607,13 @@ def verify_artifact(obj: dict) -> dict:
     claims = obj.get("claims", {})
     checks = {}
     if isinstance(art, pth.GroupPath):
-        margins = art.margins()
-        if claims.get("nonneg"):
-            checks["nonneg"] = _check("min cocycle margin",
-                                      float(margins.min()), -MARGIN, mode="ge")
-        if claims.get("nonpos"):
-            checks["nonpos"] = _check(
-                "min negated cocycle margin",
-                float(cone_margins(-art.right_cocycles()).min()), -MARGIN,
-                mode="ge")
+        for side in ("nonneg", "nonpos"):
+            if claims.get(side):
+                checks[side] = _check(
+                    f"max {side} cone defect of the left cocycles "
+                    "(slack PATH_CONE_SLACK)",
+                    float(art.defects(nonpos=side == "nonpos").max()),
+                    PATH_CONE_SLACK)
         if "rot_gain" in claims:
             _, gain = cover.rot_along(art.nodes)
             checks["rot_gain"] = _check(
@@ -630,9 +630,12 @@ def verify_artifact(obj: dict) -> dict:
                 CLAIM_MATCH)
     elif isinstance(art, cx.CylinderConnection):
         if claims.get("nonneg_curved"):
+            # the constructor's curvature is w Ad(Pi) gamma, det w^2 det gamma
             checks["curvature"] = _check(
-                "min curvature margin", float(art.curvature_margins().min()),
-                -MARGIN, mode="ge")
+                "max curvature cone defect "
+                "(slack PATH_CONE_SLACK * bump peak^2)",
+                float(cone_defects(art.curvature_grid).max()),
+                PATH_CONE_SLACK * float(cx.bump_weight(0.5)) ** 2)
         if claims.get("flat"):
             checks["flat"] = _check(
                 "max |curvature|",

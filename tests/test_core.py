@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2rotor.core import (
@@ -11,8 +11,10 @@ from sl2rotor.core import (
     GroupElement,
     LieElement,
     NonUnimodular,
+    PATH_CONE_SLACK,
     canonical_rep,
     classify,
+    cone_defects,
     cone_margins,
     cone_test,
     mat_inv,
@@ -335,3 +337,32 @@ def test_cone_margins_matches_elementwise():
     batch = cone_margins(xs)
     single = np.array([LieElement(x).cone_margin() for x in xs])
     assert np.abs(batch - single).max() == 0.0
+
+
+def test_cone_defects_pinned():
+    xs = np.stack([LieElement.from_cone_coords(*c).x for c in [
+        (1.0, 0.0, 0.0),    # J: interior
+        (0.5, 0.5, 0.0),    # nonnegative parabolic: on the boundary
+        (0.0, 0.0, 0.0),    # zero: in both closed cones
+        (-0.5, 0.5, 0.0),   # nonpositive parabolic: det 0, alpha -0.5
+        (-1.0, 0.0, 0.0),   # -J
+        (0.0, 1.0, 0.0),    # hyperbolic: det -1
+    ]])
+    assert cone_defects(xs).tolist() == [0.0, 0.0, 0.0, 0.25, 1.0, 1.0]
+    assert cone_defects(-xs).tolist() == [1.0, 0.25, 0.0, 0.0, 0.0, 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+       st.floats(1.0, 1e3), st.floats(0.0, np.pi), st.floats(0.0, np.pi))
+def test_cone_decision_is_conjugation_invariant(alpha, delta, eps, c, a, b):
+    # det x = alpha^2 - delta^2 - eps^2 decides, and conjugation keeps it;
+    # cases within rounding of the boundary after a conjugator with
+    # entries up to 1e3 are left out
+    x = LieElement.from_cone_coords(alpha, delta, eps).x
+    assume(abs(alpha ** 2 - delta ** 2 - eps ** 2) > 1e-2)
+    h = rotation(a) @ np.diag([c, 1.0 / c]) @ rotation(b)
+    both = np.stack([x, conj_by(h, x)])
+    for side in (both, -both):
+        inside = cone_defects(side) <= PATH_CONE_SLACK
+        assert inside[0] == inside[1] == (cone_margins(side[0]) >= 0.0)

@@ -408,13 +408,6 @@ def test_rot_along_refuses_steps_without_a_principal_log(end):
         cover.track_lift_along(nodes, np.zeros((2, 2, 2)))
 
 
-def test_zero_rot_lift():
-    g = GroupElement.diagonal(3.0)
-    assert cover.rot(cover.zero_rot_lift(g)) == 0.0
-    with pytest.raises(ValueError):
-        cover.zero_rot_lift(GroupElement.rotation(1.0))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(-3, 3))
 def test_rot_quasimorphism_bound(seed, n):

@@ -55,6 +55,23 @@ def test_refine_preserves_endpoints_and_margins():
     assert abs(q.margins().min() - p.margins().min()) < 1e-3
 
 
+def test_repeated_nodes_are_in_both_cones():
+    # zero cocycles lie in both closed cones
+    p = GroupPath(np.repeat(np.diag([2.0, 0.5])[None], 9, axis=0))
+    assert p.is_nonneg() and p.is_nonpos()
+
+
+def test_nonpositive_parabolic_path_is_not_nonneg():
+    # cocycles -[[0, 0], [1, 0]]: det 0, which alone would pass them as
+    # nonnegative; alpha -0.5 gives the defect 0.25
+    s = np.linspace(0.0, 1.0, 33)
+    p = GroupPath(sl2_exp(-s[:, None, None] * np.array([[0.0, 0.0],
+                                                        [1.0, 0.0]])))
+    assert p.is_nonpos()
+    assert not p.is_nonneg()
+    assert p.defects().min() > 0.2
+
+
 def test_inverted_flips_cone_side():
     p = spiral_path(1, np.diag([0.05, -0.05]), n=200)
     assert p.is_nonneg()
