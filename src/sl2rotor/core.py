@@ -452,9 +452,11 @@ def cone_margins(x: np.ndarray) -> np.ndarray:
 
 
 def cone_defects(x: np.ndarray) -> np.ndarray:
-    """max(-det x, min(alpha, 0)^2) for a batch (...,2,2) of traceless x:
-    0 exactly on the closed nonnegative cone, positive off it.  det x is
-    conjugation-invariant; the alpha term only tells the two cones apart."""
+    """max(-det x, -alpha, 0) for a batch (...,2,2) of traceless x: 0
+    exactly on the closed nonnegative cone, positive off it.  det x is
+    conjugation-invariant; the alpha term, linear as the margin is, tells
+    the two cones apart, so a slack bounds -det (quadratic in x) and
+    -alpha (linear in x) at once."""
     det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
     alpha = 0.5 * (x[..., 1, 0] - x[..., 0, 1])
-    return np.maximum(-det, np.minimum(alpha, 0.0) ** 2)
+    return np.maximum(np.maximum(-det, -alpha), 0.0)

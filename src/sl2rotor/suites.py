@@ -630,7 +630,8 @@ def verify_artifact(obj: dict) -> dict:
                 CLAIM_MATCH)
     elif isinstance(art, cx.CylinderConnection):
         if claims.get("nonneg_curved"):
-            # the constructor's curvature is w Ad(Pi) gamma, det w^2 det gamma
+            # the constructor's curvature is w Ad(Pi) gamma, det w^2 det gamma;
+            # the linear -alpha term is held to the same bound
             checks["curvature"] = _check(
                 "max curvature cone defect "
                 "(slack PATH_CONE_SLACK * bump peak^2)",

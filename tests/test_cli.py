@@ -9,7 +9,7 @@ from sl2rotor import cli
 from sl2rotor import connections as cx
 from sl2rotor import cover
 from sl2rotor.cli import entry
-from sl2rotor.core import rotation, sl2_exp
+from sl2rotor.core import J, rotation, sl2_exp
 from sl2rotor.paths import GroupPath
 from sl2rotor.serialize import (
     _decode,
@@ -95,15 +95,24 @@ def test_verify_suite_passes(capsys):
     assert rep["cases"] == 125
 
 
-@pytest.mark.parametrize("suite", [
-    "hyperdisc", "two-elliptic", "three-classes", "unit-path",
-    "cylinder-constructor", "gauge", "dehn-twist", "cover"])
-def test_verify_disc_suites_pass_at_a_second_seed(capsys, suite):
+def _passes_at_seed_1(capsys, suite):
     code, out, _ = run(capsys, "verify", suite, "--seed", "1")
     rep = json.loads(out)
     assert code == 0
     assert rep["passed"] is True
     assert rep["seed"] == 1 and rep["failures"] == 0
+
+
+@pytest.mark.parametrize("suite", ["hyperdisc", "two-elliptic"])
+def test_verify_disc_suites_pass_at_a_second_seed(capsys, suite):
+    _passes_at_seed_1(capsys, suite)
+
+
+@pytest.mark.parametrize("suite", [
+    "three-classes", "unit-path", "cylinder-constructor", "gauge",
+    "dehn-twist", "cover"])
+def test_verify_fast_suites_pass_at_a_second_seed(capsys, suite):
+    _passes_at_seed_1(capsys, suite)
 
 
 @pytest.mark.xfail(strict=True, reason="case 0's holonomy round trip is off "
@@ -211,6 +220,36 @@ def test_one_answer_on_nonpositivity(capsys, tmp_path, excess, g0):
     if built:
         code, out, _ = run(capsys, "verify", "--artifact", str(cyl))
         assert code == 0, json.loads(out)["checks"]
+
+
+def test_verify_refuses_a_slow_backward_rotation_as_nonneg(capsys,
+                                                          tmp_path):
+    # left cocycles -3e-5 J: det 9e-10 is inside the slack, alpha -3e-5
+    # is not
+    s = np.linspace(0.0, 1.0, 65)
+    p = GroupPath(sl2_exp(-3e-5 * s[:, None, None] * J))
+    f = tmp_path / "path.json"
+    dump_json({**path_to_obj(p), "claims": {"nonneg": True}}, str(f))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 1
+    check = json.loads(out)["checks"]["nonneg"]
+    assert not check["satisfied"]
+    assert abs(check["value"] - 3e-5) < 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-6, 8e-5])
+def test_verify_refuses_negative_elliptic_curvature(capsys, tmp_path, c):
+    # A(s, t) = s c J has curvature -c J: det c^2 >= 0, alpha -c
+    s = np.linspace(0.0, 1.0, 9)
+    grid = np.broadcast_to(c * s[:, None, None, None] * J, (9, 16, 2, 2))
+    obj = cylinder_to_obj(cx.CylinderConnection(grid))
+    f = tmp_path / "cyl.json"
+    dump_json({**obj, "claims": {"nonneg_curved": True}}, str(f))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    assert code == 1
+    check = json.loads(out)["checks"]["curvature"]
+    assert not check["satisfied"]
+    assert abs(check["value"] - c) < 1e-12
 
 
 def test_cover_build_claims(capsys, tmp_path):

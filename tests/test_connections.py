@@ -8,6 +8,7 @@ import pytest
 from sl2rotor import connections as cx
 from sl2rotor import cover
 from sl2rotor.core import (
+    J,
     GroupElement,
     _cs_funcs,
     mat_inv,
@@ -162,6 +163,15 @@ def test_constructor_round_trip_and_curvature():
 def test_constructor_rejects_nonnegative_paths():
     p = spiral_path(1, np.diag([0.05, -0.05]), n=200)
     a0 = cx.constant_loop(sl2_log(np.asarray(p.nodes[0])), 32)
+    with pytest.raises(cx.NotNonpositive, match="exceeds PATH_CONE_SLACK"):
+        cx.from_nonpositive_path(p, a0)
+
+
+def test_constructor_rejects_a_slow_forward_rotation():
+    # left cocycles 1e-5 J: nonpositive by det alone, not by alpha
+    s = np.linspace(0.0, 1.0, 65)
+    p = GroupPath(sl2_exp(1e-5 * s[:, None, None] * J))
+    a0 = cx.constant_loop(np.zeros((2, 2)), 32)
     with pytest.raises(cx.NotNonpositive, match="exceeds PATH_CONE_SLACK"):
         cx.from_nonpositive_path(p, a0)
 

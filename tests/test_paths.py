@@ -63,13 +63,24 @@ def test_repeated_nodes_are_in_both_cones():
 
 def test_nonpositive_parabolic_path_is_not_nonneg():
     # cocycles -[[0, 0], [1, 0]]: det 0, which alone would pass them as
-    # nonnegative; alpha -0.5 gives the defect 0.25
+    # nonnegative; alpha -0.5 gives the defect 0.5
     s = np.linspace(0.0, 1.0, 33)
     p = GroupPath(sl2_exp(-s[:, None, None] * np.array([[0.0, 0.0],
                                                         [1.0, 0.0]])))
     assert p.is_nonpos()
     assert not p.is_nonneg()
-    assert p.defects().min() > 0.2
+    assert p.defects().min() > 0.4
+
+
+@pytest.mark.parametrize("c", [1e-5, 3e-5])
+def test_slow_backward_rotation_is_not_nonneg(c):
+    # left cocycles -c J: det c^2 >= 0, and the alpha term, linear in c,
+    # keeps the path out of the nonnegative cone
+    s = np.linspace(0.0, 1.0, 65)
+    p = GroupPath(sl2_exp(-c * s[:, None, None] * J))
+    assert p.is_nonpos()
+    assert not p.is_nonneg()
+    assert abs(p.defects().max() - c) < 1e-12
 
 
 def test_inverted_flips_cone_side():
