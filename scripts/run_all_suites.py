@@ -1,8 +1,10 @@
 """Run every verification suite and print a one-line summary per suite.
 
-Writes the full JSON reports into --out when given.  With --compare DIR,
-each report is compared byte for byte with DIR/<suite>.json (as written
-by --out or by `sl2rotor verify <suite> --out`); every suite that
+A failing suite is followed by its failing case indexes (failing_seeds)
+and by each unsatisfied check.  Writes the full JSON reports into --out
+when given.  With --compare DIR, each report is compared byte for byte
+with DIR/<suite>.json (as written by --out or by
+`sl2rotor verify <suite> --out`); every suite that
 differs is named, with each differing JSON field: its path, the old and
 the new value, and |delta| for numbers.  A differing int, bool or str
 field (or a changed type, or a missing one) is flagged with "!", since a
@@ -83,6 +85,9 @@ def main() -> int:
               f"[{dt:.2f}s]")
         if not rep["passed"]:
             failed += 1
+            if rep["failing_seeds"]:
+                print(f"    failing_seeds: {rep['failing_seeds']}"
+                      + (" (first 10)" if rep["failures"] > 10 else ""))
             for key, c in rep["checks"].items():
                 if not c["satisfied"]:
                     print(f"    {key}: {c['quantity']} = {c['value']:.6g} "

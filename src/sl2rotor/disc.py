@@ -25,7 +25,6 @@ ValueError if any one of its entries is.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +159,11 @@ def disc_exp(gamma: DiscLieElement, t: float = 1.0) -> DiscIsometry:
 # fields and Hamiltonians
 
 
-def _field(gamma: DiscLieElement):
-    # the one formula for X_gamma, coefficients taken out of the RK4 loop
-    cb, ia, b = np.conj(gamma.beta), 2j * np.asarray(gamma.alpha), gamma.beta
-    return lambda w: cb + (ia - b * w) * w
-
-
 def vector_field(gamma: DiscLieElement, w: complex) -> complex:
     """Infinitesimal action of gamma at w: conj(beta) + 2 i alpha w - beta w^2."""
-    return _out(_field(gamma)(_in_disc(w, closed=True)))
+    w = _in_disc(w, closed=True)
+    return _out(np.conj(gamma.beta)
+                + (2j * np.asarray(gamma.alpha) - gamma.beta * w) * w)
 
 
 def hamiltonian(gamma: DiscLieElement, w: complex) -> float:
@@ -210,24 +205,11 @@ def poisson_defect(g1: DiscLieElement, g2: DiscLieElement, w: complex,
     return _out(bracket - hamiltonian(disc_bracket(g1, g2), w))
 
 
-def flow(gamma: DiscLieElement, w0: complex, t: float,
-         steps: int = 256) -> complex:
-    """RK4 integration of dw/du = X_gamma(w) from w0 over time t in `steps`
-    equal steps, at least one; a batch runs as one loop."""
-    steps = operator.index(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1: {steps}")
+def flow(gamma: DiscLieElement, w0: complex, t: float) -> complex:
+    """The solution of dw/du = X_gamma(w) from w0 at time t, exactly:
+    exp(t gamma) applied to w0."""
     _finite(t)
-    field = _field(gamma)
-    w = _in_disc(w0, closed=True)
-    dt = np.asarray(t, dtype=float) / steps
-    for _ in range(steps):
-        k1 = field(w)
-        k2 = field(w + 0.5 * dt * k1)
-        k3 = field(w + 0.5 * dt * k2)
-        k4 = field(w + dt * k3)
-        w = w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    return _out(w)
+    return disc_exp(gamma, t)(w0)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,9 @@ def obj_to_artifact(obj: dict):
                 _decode(obj["data"], shape),
                 s_frame=None if frame is None else _decode(frame, shape))
         if kind == "unit-path":
+            if not isinstance(obj["report"], dict):
+                raise ParseError("'report' must be a JSON object, got "
+                                 f"{obj['report']!r}")
             return {"g1": obj_to_artifact(obj["g1"]),
                     "k": obj_to_artifact(obj["k"]),
                     "report": obj["report"]}

@@ -408,6 +408,43 @@ def test_verify_rejects_mistyped_loop_fields(capsys, tmp_path, field, value,
     assert says in err
 
 
+UNIT = ["lam_target=2.0", "lam=2.6"]
+
+
+@pytest.mark.parametrize("kind, params, spoil, says", [
+    pytest.param("spiral-path", ["r=1"],
+                 lambda o: o["claims"].update(rot_gain="x"), "'rot_gain'",
+                 id="rot_gain-str"),
+    pytest.param("spiral-path", ["r=1"],
+                 lambda o: o["claims"].update(rot_gain=None), "'rot_gain'",
+                 id="rot_gain-null"),
+    pytest.param("spiral-path", ["r=1"], lambda o: o.update(claims=[1]),
+                 "'claims'", id="claims-list"),
+    pytest.param("cover", ["mu=3"],
+                 lambda o: o["claims"].update(holonomy_trace=[1]),
+                 "'holonomy_trace'", id="holonomy_trace-list"),
+    pytest.param("unit-path", UNIT,
+                 lambda o: o["report"].pop("conjugation_residual"),
+                 "'conjugation_residual'", id="report-missing-field"),
+    pytest.param("unit-path", UNIT, lambda o: o.update(report=[1]),
+                 "'report'", id="report-list"),
+])
+def test_verify_rejects_mistyped_claims_and_reports(capsys, tmp_path, kind,
+                                                    params, spoil, says):
+    f = tmp_path / "art.json"
+    code, _, err = run(capsys, "build", kind, *params, "--res", "24",
+                       "--out", str(f))
+    assert code == 0, err
+    assert run(capsys, "verify", "--artifact", str(f))[0] == 0
+    obj = json.loads(f.read_text())
+    spoil(obj)
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("ParseError")
+    assert says in err
+
+
 def test_one_parser_serves_a_process(capsys, tmp_path):
     # a usage error, a build and a verify through the cached parser give
     # what a fresh parser for each call gives, files included

@@ -1,5 +1,6 @@
 """Report plumbing for the verification sweeps."""
 
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 
 from sl2rotor import connections as cx, core, suites
 from sl2rotor import disc as dsc
+from sl2rotor import paths as pth
 from sl2rotor.config import RunConfig
 from sl2rotor.serialize import loop_to_obj
 from sl2rotor.suites import SUITES, UnknownSuite, run_suite, verify_artifact
@@ -92,6 +94,43 @@ def test_hyperdisc_names_failing_cases_in_every_section(monkeypatch, name,
     assert rep["failures"] == 1
     assert rep["failing_seeds"] == [index]
 
+
+def _rot_plus(by):
+    return lambda loop: SimpleNamespace(rot=lambda: loop.rot() + by)
+
+
+def _reversed(path):
+    return pth.GroupPath(path.nodes[::-1])
+
+
+@pytest.mark.parametrize("suite, module, name, call, spoil, index", [
+    # winding covers must hold exactly, so even 1e-7 fails case 7
+    ("cover", "cx", "cover", 7, _rot_plus(1e-7), 7),
+    ("cover", "cx", "cover", 25, _rot_plus(1.0), 25),
+    ("dehn-twist", "cx", "rot_c", 4, lambda v: v + 1.0, 1),   # 3 per case
+    ("gauge", "cx", "rot_c", 114, lambda v: v + 1.0, 57),     # 2 per case
+    ("unit-path", "pth", "unit_path", 5,
+     lambda out: (*out[:2], {**out[2], "k_rot": 1.0}), 5),
+    ("krein", "pth", "hyperbolic_itinerary_path", 3, _reversed, 33),
+])
+def test_loop_suites_name_their_failing_case(monkeypatch, suite, module,
+                                             name, call, spoil, index):
+    real_module = getattr(suites, module)
+    real = getattr(real_module, name)
+    calls = itertools.count()
+
+    def spoiled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return spoil(out) if next(calls) == call else out
+
+    monkeypatch.setattr(suites, module, SimpleNamespace(
+        **{**vars(real_module), name: spoiled}))
+    rep = run_suite(suite, RunConfig())
+    assert rep["passed"] is False
+    assert rep["failures"] == 1
+    assert rep["failing_seeds"] == [index]
+
+
 def test_run_all_suites_compare(tmp_path, monkeypatch, capsys):
     import runpy
     from pathlib import Path
@@ -114,6 +153,24 @@ def test_run_all_suites_compare(tmp_path, monkeypatch, capsys):
     code, out = run(*only, "--compare", str(tmp_path))
     assert code == 2
     assert "2 of 2 reports differ" in out and "two-elliptic three-classes" in out
+
+
+def test_run_all_suites_names_failing_cases(monkeypatch, capsys):
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_suites.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setitem(SUITES, "two-elliptic", lambda cfg: suites._report(
+        "two-elliptic", cfg, {"x": suites._check("x", 0.0, 1.0)},
+        np.arange(40) % 3 == 1))
+    monkeypatch.setattr("sys.argv", ["run_all_suites.py", "--only",
+                                     "two-elliptic"])
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert "failures=13" in out
+    assert ("failing_seeds: [1, 4, 7, 10, 13, 16, 19, 22, 25, 28] (first 10)"
+            in out)
 
 
 def test_compare_lists_each_differing_field(tmp_path):
