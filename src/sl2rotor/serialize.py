@@ -11,6 +11,7 @@ standard library falls back to its pure-Python encoder.
 from __future__ import annotations
 
 import json
+import os
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -24,50 +25,58 @@ class ParseError(ValueError):
 
 
 def _exponent_table() -> np.ndarray:
-    """Row b: the NUL-padded "p+e" of float.hex for biased exponent b."""
-    a = np.arange(1024)
-    digits = (np.stack([a // 1000, a // 100, a // 10, a], 1) % 10
-              + ord("0")).astype(np.uint8)
-    left = np.zeros((1024, 4), np.uint8)   # |e| left-aligned, no zeros
-    for lo, hi, skip in ((0, 10, 3), (10, 100, 2), (100, 1000, 1),
-                         (1000, 1024, 0)):
-        left[lo:hi, :4 - skip] = digits[lo:hi, skip:]
-    e = np.maximum(np.arange(2047), 1) - 1023   # subnormals read p-1022
-    table = np.zeros((2047, 6), np.uint8)
+    """Row b: float.hex's "p+e" for biased exponent b and the closing quote,
+    NUL-padded into one uint64; row 2047 holds the "p+0" of ±0."""
+    e = np.maximum(np.arange(2048), 1) - 1023   # subnormals read p-1022
+    e[2047] = 0
+    mag = np.abs(e)[:, None]
+    table = np.zeros((2048, 8), np.uint8)
     table[:, 0] = ord("p")
     table[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    table[:, 2:] = left[np.abs(e)]
-    return table
+    # four digit places, NUL where a leading zero would stand
+    table[:, 2:6] = np.where(mag >= [1000, 100, 10, 0],
+                             mag // [1000, 100, 10, 1] % 10 + ord("0"), 0)
+    table[:, 7] = ord('"')
+    return table.view(np.uint64).ravel()
 
 
 _EXPONENTS = _exponent_table()
-_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(),
-                           np.uint8).reshape(256, 2)
-_ZERO_TAIL = np.frombuffer(b"p+0".ljust(18, b"\0"), np.uint8)
+_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(), np.uint16)
+_CHUNK = 65536   # values rendered at a time
 
 
-def _encode(arr: np.ndarray) -> list[str]:
-    """float.hex of every entry, row-major, formatted from the bit fields."""
-    flat = np.asarray(arr, dtype=float).ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("hex float payloads hold finite values only")
-    bits = flat.view(np.uint64)
-    biased = (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.intp)
-    # one row per value: sign, "0x1." ("0x0." if subnormal), 13 nibbles,
-    # "p+e", newline; NUL bytes pad the row and are dropped before decoding
-    rows = np.zeros((flat.size, 25), np.uint8)
-    rows[bits >> np.uint64(63) != 0, 0] = ord("-")
-    # bytes 1-7 of the big-endian mantissa read as "0" and the 13 nibbles;
-    # the "0" falls on the column of the point
-    mant = (bits & np.uint64(2**52 - 1)).astype(">u8").view(np.uint8)
-    rows[:, 4:18] = _HEX_PAIRS[mant.reshape(-1, 8)[:, 1:]].reshape(-1, 14)
-    rows[:, 1:5] = np.frombuffer(b"0x1.", np.uint8)
-    rows[biased == 0, 3] = ord("0")
-    rows[:, 18:24] = _EXPONENTS[biased]
-    rows[flat == 0, 6:24] = _ZERO_TAIL   # ±0 is "0x0.0p+0"
-    rows[:, 24] = ord("\n")
-    chars = rows.ravel()
-    return chars[chars != 0].tobytes().decode("ascii").splitlines()
+def _write_payload(arr: np.ndarray, nl: str, emit) -> None:
+    """Emit the row-major list of the float.hex of `arr`'s entries, from
+    their bit fields, in chunks along the leading axis."""
+    arr = np.atleast_1d(np.asarray(arr, dtype=float))
+    if arr.size == 0:
+        return emit("[]")
+    # a row per value: ",", the indent, '"', the sign, "0x1." ("0x0." if
+    # subnormal or zero), 13 nibbles and 'p+e"'; NULs are squeezed out
+    head = np.frombuffer((f',{nl} "' + "\0" + "0x1.").encode(), np.uint8)
+    p = head.size - 5   # the sign's column
+    emit("[")
+    step = max(1, _CHUNK // arr[0].size)
+    for lo in range(0, len(arr), step):
+        flat = arr[lo:lo + step].ravel()
+        if not np.isfinite(flat).all():
+            raise ValueError("hex float payloads hold finite values only")
+        biased = flat.view(np.int64) >> 52 & 0x7FF
+        zero = flat == 0
+        rows = np.empty((flat.size, p + 26), np.uint8)
+        # big-endian bytes 1-7: a nibble on the point's column, 13 nibbles
+        big = flat.astype(">f8").view(np.uint8).reshape(-1, 8)
+        rows[:, p + 4:p + 18] = np.take(_HEX_PAIRS, big[:, 1:]).view(np.uint8)
+        rows[:, :p + 5] = head
+        rows[np.signbit(flat), p] = ord("-")
+        rows[biased == 0, p + 3] = ord("0")
+        rows[zero, p + 6:p + 18] = 0   # "0x0.0p+0"
+        rows[:, p + 18:] = np.take(_EXPONENTS, np.where(zero, 2047, biased)
+                                   ).view(np.uint8).reshape(-1, 8)
+        chars = rows.ravel()
+        text = chars[chars != 0].tobytes().decode("ascii")
+        emit(text if lo else text[1:])   # no comma before the first item
+    emit(nl + "]")
 
 
 def _decode(data: list[str], shape: tuple[int, ...]) -> np.ndarray:
@@ -91,22 +100,17 @@ def _count(obj: dict, key: str) -> int:
 
 
 def path_to_obj(p: GroupPath) -> dict:
-    return {"kind": "group-path", "n": p.n_steps,
-            "data": _encode(p.nodes)}
+    return {"kind": "group-path", "n": p.n_steps, "data": p.nodes}
 
 
 def loop_to_obj(a: LoopConnection) -> dict:
-    return {"kind": "loop-connection", "m": a.m, "data": _encode(a.samples)}
+    return {"kind": "loop-connection", "m": a.m, "data": a.samples}
 
 
 def cylinder_to_obj(c: CylinderConnection) -> dict:
     # "periodic" stays in the format: every cylinder's t-axis is a circle
-    obj = {"kind": "cylinder-connection", "ns": c.ns, "mt": c.mt,
-           "periodic": True, "data": _encode(c.grid),
-           "s_frame": None}
-    if c.s_frame is not None:
-        obj["s_frame"] = _encode(c.s_frame)
-    return obj
+    return {"kind": "cylinder-connection", "ns": c.ns, "mt": c.mt,
+            "periodic": True, "data": c.grid, "s_frame": c.s_frame}
 
 
 def obj_to_artifact(obj: dict):
@@ -148,61 +152,59 @@ def dumps_json(obj) -> str:
     """The one JSON text form of artifacts and reports: sorted keys, indent 1.
 
     Equal to `json.dumps(obj, sort_keys=True, indent=1) + "\\n"` for every
-    JSON value, and a TypeError where that raises one.
+    JSON value, and a TypeError where that raises one; an ndarray is
+    written as the row-major list of the float.hex of its entries.
     """
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _write(o, nl: str, out: list[str]) -> None:
-    """Append the text of `o`, whose line starts with `nl`, to `out`."""
-    if not isinstance(o, (list, tuple, dict)):
+def _write(o, nl: str, emit) -> None:
+    """Pass the text of `o`, whose line starts with `nl`, to `emit`."""
+    if isinstance(o, np.ndarray):
+        return _write_payload(o, nl, emit)
+    if not isinstance(o, (list, tuple, dict)) or not o:
         # a scalar's text is the same with and without indent; anything
         # else gets json's TypeError
-        out.append(json.dumps(o))
-        return
-    if not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-        return
+        return emit(json.dumps(o))
     inner = nl + " "
     if isinstance(o, dict):
-        out.append("{")
+        sep = "{"
         for key, val in sorted(o.items()):
             if not isinstance(key, (str, int, float)) and key is not None:
                 raise TypeError("keys must be str, int, float, bool or None, "
                                 f"not {key.__class__.__name__}")
-            out += (inner, _quote(key if isinstance(key, str)
-                                  else json.dumps(key)), ": ")
-            _write(val, inner, out)
-            out.append(",")
-        out[-1] = nl + "}"
-        return
-    try:
-        joined = "".join(o)
-    except TypeError:
-        joined = None
-    if (joined is not None and joined.isascii() and joined.isprintable()
-            and '"' not in joined and "\\" not in joined):
-        # strings that need no escapes, such as the hex payloads
-        out += ("[", inner, '"', ('",' + inner + '"').join(o), '"', nl, "]")
-        return
-    out.append("[")
+            emit(sep + inner + _quote(key if isinstance(key, str)
+                                      else json.dumps(key)) + ": ")
+            _write(val, inner, emit)
+            sep = ","
+        return emit(nl + "}")
+    sep = "["
     for val in o:
-        out.append(inner)
-        _write(val, inner, out)
-        out.append(",")
-    out[-1] = nl + "]"
+        emit(sep + inner)
+        _write(val, inner, emit)
+        sep = ","
+    emit(nl + "]")
 
 
 def dump_json(obj, fp_or_path) -> None:
-    text = dumps_json(obj)
+    """Stream the text of `dumps_json(obj)` into a file object, or into a
+    path that is replaced only once the whole text is written."""
     if hasattr(fp_or_path, "write"):
-        fp_or_path.write(text)
-    else:
-        with open(fp_or_path, "w") as fh:
-            fh.write(text)
+        _write(obj, "\n", fp_or_path.write)
+        fp_or_path.write("\n")
+        return
+    tmp = f"{os.fspath(fp_or_path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            _write(obj, "\n", fh.write)
+            fh.write("\n")
+        os.replace(tmp, fp_or_path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_obj(path: str) -> dict:

@@ -544,12 +544,21 @@ def _number(fields: dict, key: str) -> float:
     return val
 
 
+_CLAIM_KEYS = {"group-path": {"nonneg", "nonpos", "rot_gain"},
+               "loop-connection": {"rot", "holonomy_trace"},
+               "cylinder-connection": {"nonneg_curved", "flat", "rot_boundary"},
+               "unit-path": {"rot_gain", "k_rot"}}
+
+
 def verify_artifact(obj: dict) -> dict:
     """Re-check the claims stored alongside a built artifact."""
     art = obj_to_artifact(obj)
     claims = obj.get("claims", {})
     if not isinstance(claims, dict):
         raise ParseError(f"'claims' must be a JSON object, got {claims!r}")
+    for key in claims:
+        if key not in _CLAIM_KEYS[obj["kind"]]:
+            raise ParseError(f"unknown {obj['kind']} claim {key!r}")
     checks = {}
     if isinstance(art, pth.GroupPath):
         for side in ("nonneg", "nonpos"):
@@ -607,6 +616,10 @@ def verify_artifact(obj: dict) -> dict:
             "recomputed rot deviations",
             max(abs(gain - _number(rep, "rot_gain")),
                 abs(k_gain - _number(rep, "k_rot"))), 0.0)
+        for key, val in (("rot_gain", gain), ("k_rot", k_gain)):
+            if key in claims:
+                checks[key] = _check(f"|{key} - claim|", abs(
+                    val - _number(claims, key)), CLAIM_MATCH)
         checks["ps"] = _check("min p s", float(
             (art["k"].nodes[:, 0, 0] * art["k"].nodes[:, 1, 1]).min()),
             0.0, mode="ge")

@@ -7,15 +7,15 @@ import pytest
 
 from sl2rotor import cli
 from sl2rotor import connections as cx
-from sl2rotor import cover
+from sl2rotor import cover, serialize
 from sl2rotor.cli import entry
 from sl2rotor.core import J, rotation, sl2_exp
 from sl2rotor.paths import GroupPath
 from sl2rotor.serialize import (
     _decode,
-    _encode,
     cylinder_to_obj,
     dump_json,
+    dumps_json,
     loop_to_obj,
     path_to_obj,
 )
@@ -285,7 +285,7 @@ def test_verify_refuses_a_path_step_without_a_principal_log(capsys,
     with pytest.raises(ValueError, match="trace"):
         cover.rot_along(nodes)
     f = tmp_path / "path.json"
-    dump_json({"kind": "group-path", "n": 1, "data": _encode(nodes),
+    dump_json({"kind": "group-path", "n": 1, "data": nodes,
                "claims": {"rot_gain": 1.0}}, str(f))
     code, out, _ = run(capsys, "verify", "--artifact", str(f))
     assert code == 2
@@ -332,6 +332,7 @@ def test_verify_rejects_non_finite_payload(capsys, tmp_path, kind, bad):
     else:
         obj = loop_to_obj(loop)
         obj["claims"] = {"rot": 1.0}
+    obj = json.loads(dumps_json(obj))   # the payload as stored
     obj["data"][37] = bad
     f = tmp_path / "art.json"
     f.write_text(json.dumps(obj))
@@ -348,7 +349,7 @@ def test_verify_rejects_non_finite_payload(capsys, tmp_path, kind, bad):
 def test_verify_rejects_two_row_cylinder(capsys, tmp_path):
     # two s-rows leave no room for the curvature stencil
     loop = cx.winding_loop(1, [[0.1, 0.0], [0.0, -0.1]], 16)
-    obj = cylinder_to_obj(cx.pullback_flat(loop, 3))
+    obj = json.loads(dumps_json(cylinder_to_obj(cx.pullback_flat(loop, 3))))
     obj["ns"] = 2
     obj["data"] = obj["data"][:2 * 16 * 4]
     obj["claims"] = {"nonneg_curved": True}
@@ -364,7 +365,7 @@ def test_verify_rejects_two_row_cylinder(capsys, tmp_path):
 def test_verify_rejects_square_cylinder(capsys, tmp_path):
     # every cylinder's t-axis is a circle
     loop = cx.winding_loop(1, [[0.1, 0.0], [0.0, -0.1]], 16)
-    obj = cylinder_to_obj(cx.pullback_flat(loop, 3))
+    obj = json.loads(dumps_json(cylinder_to_obj(cx.pullback_flat(loop, 3))))
     obj["periodic"] = False
     obj["claims"] = {"nonneg_curved": True}
     f = tmp_path / "art.json"
@@ -428,6 +429,13 @@ UNIT = ["lam_target=2.0", "lam=2.6"]
                  "'conjugation_residual'", id="report-missing-field"),
     pytest.param("unit-path", UNIT, lambda o: o.update(report=[1]),
                  "'report'", id="report-list"),
+    pytest.param("spiral-path", ["r=1"],
+                 lambda o: o.update(claims={"rot_gian": 2.0}),
+                 "unknown group-path claim 'rot_gian'", id="unknown-claim"),
+    pytest.param("unit-path", UNIT,
+                 lambda o: o["claims"].update(rot_gian=2.0),
+                 "unknown unit-path claim 'rot_gian'",
+                 id="unknown-unit-path-claim"),
 ])
 def test_verify_rejects_mistyped_claims_and_reports(capsys, tmp_path, kind,
                                                     params, spoil, says):
@@ -443,6 +451,24 @@ def test_verify_rejects_mistyped_claims_and_reports(capsys, tmp_path, kind,
     assert code == 2
     assert json.loads(out)["error"].startswith("ParseError")
     assert says in err
+
+
+def test_verify_checks_unit_path_claims(capsys, tmp_path):
+    # the claims are compared with the recomputed gains, not only the
+    # stored report
+    f = tmp_path / "unit.json"
+    code, _, err = run(capsys, "build", "unit-path", "--res", "64",
+                       "--out", str(f))
+    assert code == 0, err
+    obj = json.loads(f.read_text())
+    obj["claims"] = {"rot_gain": 5.0, "k_rot": 3.0}
+    f.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    rep = json.loads(out)
+    assert code == 1 and rep["passed"] is False
+    assert not rep["checks"]["rot_gain"]["satisfied"]
+    assert not rep["checks"]["k_rot"]["satisfied"]
+    assert rep["checks"]["rots"]["satisfied"]
 
 
 def test_one_parser_serves_a_process(capsys, tmp_path):
@@ -497,6 +523,18 @@ def payloads(obj):
 def test_build_output_matches_the_stdlib_format(capsys, tmp_path):
     # writer drift shows without golden files: each artifact is the
     # json.dumps text of itself, and each payload is float.hex of its array
+    check_stdlib_format(capsys, tmp_path)
+
+
+def test_build_output_in_small_chunks_matches_the_stdlib_format(
+        capsys, tmp_path, monkeypatch):
+    # payloads rendered a few values at a time join into the same text,
+    # at depth 1 and, in unit-path artifacts, at depth 2
+    monkeypatch.setattr(serialize, "_CHUNK", 7)
+    check_stdlib_format(capsys, tmp_path)
+
+
+def check_stdlib_format(capsys, tmp_path):
     files = {}
     for kind, params in BUILDS:
         f = files[kind] = tmp_path / f"{kind}.json"

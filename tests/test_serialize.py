@@ -1,6 +1,7 @@
 """Artifact JSON round-trips and literal parsing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2rotor import connections as cx
+from sl2rotor import serialize
 from sl2rotor.paths import spiral_path
 from sl2rotor.serialize import (
     ParseError,
     _decode,
-    _encode,
     cylinder_to_obj,
     dump_json,
     dumps_json,
@@ -124,7 +125,7 @@ def test_hex_floats_survive_json_text(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the vectorised hex encoder and the direct JSON writer against the stdlib
+# the hex payload writer and the direct JSON writer against the stdlib
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
             2.2250738585072014e-308, -2.2250738585072014e-308,
@@ -136,30 +137,88 @@ def float_hex(values) -> list[str]:
     return [float.hex(float(v)) for v in np.asarray(values).ravel()]
 
 
+def hex_text(values) -> str:
+    """The stdlib text of a payload: the list of float.hex strings."""
+    return json.dumps({"d": float_hex(values)}, sort_keys=True,
+                      indent=1) + "\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=300),
        st.lists(st.sampled_from(EXTREMES), max_size=20))
 def test_encode_matches_float_hex(patterns, extremes):
     vals = np.array(patterns, dtype=np.uint64).view(float)
     vals = np.concatenate([vals[np.isfinite(vals)], extremes])
-    assert _encode(vals) == float_hex(vals)
+    assert dumps_json({"d": vals}) == hex_text(vals)
+
+
+def every_exponent():
+    """One value per biased exponent 0..2046, both signs, plus zeros."""
+    bits = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    vals = (bits | np.uint64(0x000F00000000000A)).view(float)
+    return np.concatenate([vals, -vals, [0.0, -0.0]])
 
 
 def test_encode_covers_every_exponent_and_keeps_shape_order():
-    # one value per biased exponent 0..2046, both signs, plus zeros
-    bits = np.arange(2047, dtype=np.uint64) << np.uint64(52)
-    vals = (bits | np.uint64(0x000F00000000000A)).view(float)
-    vals = np.concatenate([vals, -vals, [0.0, -0.0]])
-    assert _encode(vals) == float_hex(vals)
+    vals = every_exponent()
+    assert dumps_json({"d": vals}) == hex_text(vals)
     grid = vals[:24].reshape(2, 3, 2, 2)
-    assert _encode(grid) == float_hex(grid)
-    assert _encode(np.zeros((0, 2, 2))) == []
+    assert dumps_json({"d": grid}) == hex_text(grid)
+    assert dumps_json({"d": np.zeros((0, 2, 2))}) == hex_text([])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_encode_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        _encode(np.array([1.0, bad, 2.0]))
+        dumps_json({"d": np.array([1.0, bad, 2.0])})
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_payload_chunks_join_seamlessly(monkeypatch, chunk):
+    # chunks of whole leading-axis rows, the last one short, at the
+    # indents of artifact payloads and of unit-path payloads one level down
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    vals = every_exponent()
+    grid = vals[:4000].reshape(10, 100, 2, 2)
+    for arr in (vals, grid, grid[:, :3].transpose(1, 0, 2, 3)):
+        assert dumps_json({"d": arr}) == hex_text(arr)
+        nested = {"g1": {"data": arr, "n": 1}}
+        assert dumps_json(nested) == json.dumps(
+            {"g1": {"data": float_hex(arr), "n": 1}}, sort_keys=True,
+            indent=1) + "\n"
+
+
+def test_dump_json_streams_a_large_cylinder(tmp_path):
+    # a 1001 x 256 grid is 8 MB of floats and 26 MB of text; written in
+    # chunks, neither the text nor a string per float is ever held
+    rng = np.random.default_rng(0)
+    grid = rng.normal(size=(1001, 256, 2, 2))
+    grid[..., 1, 1] = -grid[..., 0, 0]
+    obj = cylinder_to_obj(cx.CylinderConnection(grid))
+    f = tmp_path / "c.json"
+    tracemalloc.start()
+    try:
+        dump_json(obj, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.array_equal(obj_to_artifact(load_obj(str(f))).grid, obj["data"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dump_json_leaves_no_partial_file(tmp_path, monkeypatch, bad):
+    # the bad value sits in the fifth chunk, after four have been written
+    monkeypatch.setattr(serialize, "_CHUNK", 8)
+    f = tmp_path / "a.json"
+    f.write_text("old contents\n")
+    loop = cx.winding_loop(1, np.diag([0.1, -0.1]), 16)
+    samples = loop.samples.copy()
+    samples[9, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dump_json({**loop_to_obj(loop), "data": samples}, f)
+    assert f.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 @pytest.mark.parametrize("data, shape, text", [

@@ -11,7 +11,7 @@ from sl2rotor import connections as cx, core, suites
 from sl2rotor import disc as dsc
 from sl2rotor import paths as pth
 from sl2rotor.config import RunConfig
-from sl2rotor.serialize import loop_to_obj
+from sl2rotor.serialize import dumps_json, loop_to_obj
 from sl2rotor.suites import SUITES, UnknownSuite, run_suite, verify_artifact
 
 
@@ -45,7 +45,8 @@ def test_report_shape():
 
 
 def test_verify_artifact_claims():
-    obj = loop_to_obj(cx.winding_loop(2, np.diag([0.1, -0.1]), 64))
+    obj = json.loads(dumps_json(loop_to_obj(cx.winding_loop(
+        2, np.diag([0.1, -0.1]), 64))))
     good = dict(obj, claims={"rot": 2.0})
     assert verify_artifact(good)["passed"] is True
     bad = dict(obj, claims={"rot": 1.0})
