@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import connections as cx
-from . import cover
 from . import paths as pth
 from .config import RunConfig
 from .core import (
@@ -40,7 +39,7 @@ from .serialize import (
     path_to_obj,
     report_csv,
 )
-from .suites import SUITES, UnknownSuite, run_suite, verify_artifact
+from .suites import SUITES, UnknownSuite, claims_of, run_suite, verify_artifact
 
 # every recoverable misuse maps to exit code 2
 USAGE_ERRORS = (ParseError, NonUnimodular, UnknownSuite,
@@ -154,33 +153,26 @@ def _gamma_from(value) -> np.ndarray:
     return arr
 
 
-def _path_claims(p: pth.GroupPath, nonpos: bool) -> dict:
-    _, gain = cover.rot_along(p.nodes)
-    side = "nonpos" if nonpos else "nonneg"
-    return {side: True, "rot_gain": gain}
+# each builder returns (artifact object, built artifact, promised claims)
 
 
-def _build_spiral(params: dict, cfg: RunConfig) -> dict:
+def _build_spiral(params: dict, cfg: RunConfig):
     r = int(_take(params, "r", 2))
     gamma = _gamma_from(_take(params, "gamma"))
     n = _take(params, "n")
     p = pth.spiral_path(r, gamma, n=None if n is None else int(n))
-    obj = path_to_obj(p)
-    obj["claims"] = _path_claims(p, nonpos=False)
-    return obj
+    return path_to_obj(p), p, {"nonneg": True}
 
 
-def _build_elliptic(params: dict, cfg: RunConfig) -> dict:
+def _build_elliptic(params: dict, cfg: RunConfig):
     th0 = float(_take(params, "theta0", 0.3))
     th1 = float(_take(params, "theta1", 2.4))
     n = int(_take(params, "n", cfg.n))
     p = pth.elliptic_itinerary_path(np.linspace(th0, th1, n + 1), n=n)
-    obj = path_to_obj(p)
-    obj["claims"] = _path_claims(p, nonpos=False)
-    return obj
+    return path_to_obj(p), p, {"nonneg": True}
 
 
-def _build_hyperbolic(params: dict, cfg: RunConfig) -> dict:
+def _build_hyperbolic(params: dict, cfg: RunConfig):
     lam0 = float(_take(params, "lam0", 1.5))
     lam1 = float(_take(params, "lam1", 3.0))
     direction = int(_take(params, "direction", 1))
@@ -190,26 +182,20 @@ def _build_hyperbolic(params: dict, cfg: RunConfig) -> dict:
                                       direction=direction, n=n)
     if invert:
         p = p.inverted()  # inversion flips the cone side
-    obj = path_to_obj(p)
-    obj["claims"] = _path_claims(p, nonpos=invert)
-    return obj
+    return path_to_obj(p), p, {"nonpos" if invert else "nonneg": True}
 
 
-def _build_unit(params: dict, cfg: RunConfig) -> dict:
+def _build_unit(params: dict, cfg: RunConfig):
     lam_target = float(_take(params, "lam_target", 2.0))
     lam = float(_take(params, "lam", 2.0))
     n = int(_take(params, "n", 2 * cfg.n))
     g1, k_path, report = pth.unit_path(lam_target, lam, n=n)
-    return {
-        "kind": "unit-path",
-        "g1": path_to_obj(g1),
-        "k": path_to_obj(k_path),
-        "report": report,
-        "claims": {"rot_gain": report["rot_gain"], "k_rot": report["k_rot"]},
-    }
+    obj = {"kind": "unit-path", "g1": path_to_obj(g1),
+           "k": path_to_obj(k_path), "lam": lam, "report": report}
+    return obj, {"report": report}, {}
 
 
-def _build_cylinder(params: dict, cfg: RunConfig) -> dict:
+def _build_cylinder(params: dict, cfg: RunConfig):
     src = _take(params, "src")
     if src is None:
         raise ParseError("cylinder build needs src=FILE (a stored path)")
@@ -222,13 +208,10 @@ def _build_cylinder(params: dict, cfg: RunConfig) -> dict:
     a0 = cx.constant_loop(sl2_log(rep0), mt)
     conn = cx.from_nonpositive_path(art, a0,
                                     ns=None if ns is None else int(ns))
-    obj = cylinder_to_obj(conn)
-    obj["claims"] = {"nonneg_curved": True, "flat": conn.is_flat(),
-                     "rot_boundary": conn.rot_boundary()}
-    return obj
+    return cylinder_to_obj(conn), conn, {"nonneg_curved": True, "flat": None}
 
 
-def _build_cover(params: dict, cfg: RunConfig) -> dict:
+def _build_cover(params: dict, cfg: RunConfig):
     mu = int(_take(params, "mu", 3))
     src = _take(params, "src")
     if src is None:
@@ -242,10 +225,7 @@ def _build_cover(params: dict, cfg: RunConfig) -> dict:
         if not isinstance(base, cx.LoopConnection):
             raise ParseError("cover src must be a loop-connection artifact")
     out = cx.cover(base, mu)
-    obj = loop_to_obj(out)
-    obj["claims"] = {"rot": out.rot(),
-                     "holonomy_trace": out.holonomy().trace}
-    return obj
+    return loop_to_obj(out), out, {}
 
 
 BUILDERS = {
@@ -261,13 +241,13 @@ BUILDERS = {
 def cmd_build(args) -> int:
     cfg = _config_from(args)
     params = _params_from(args.params)
-    obj = BUILDERS[args.kind](params, cfg)
+    obj, art, promised = BUILDERS[args.kind](params, cfg)
     if params:
         raise ParseError(f"unknown parameters for {args.kind}: "
                          f"{sorted(params)}")
+    obj["claims"] = claims_of(obj["kind"], art, **promised)
     dump_json(obj, args.out)
-    summary = {"kind": obj.get("kind", args.kind), "out": args.out,
-               "claims": obj.get("claims", {})}
+    summary = {"kind": obj["kind"], "out": args.out, "claims": obj["claims"]}
     _emit(summary, cfg.fmt, None)
     return 0
 

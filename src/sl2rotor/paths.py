@@ -406,46 +406,41 @@ def unit_path(lam_target: float, lam: float,
     a_end = (lam ** 2 + 1.0 + lam_target + 1.0 / lam_target) / (lam ** 2 - 1.0)
 
     def shear(u):
-        seg = np.zeros((len(u), 2, 2))
-        seg[:, 0, 0] = 1.0
-        seg[:, 1, 1] = 1.0
-        seg[:, 1, 0] = u
-        return seg
+        return from_entries(1.0, 0.0, u, 1.0)
 
     def slide(u):
         av = 1.0 + (a_end - 1.0) * u
-        seg = np.empty((len(u), 2, 2))
-        seg[:, 0, 0] = av
-        seg[:, 1, 0] = 1.0
-        seg[:, 1, 1] = lam ** 2 + 1.0 - av * lam ** 2
-        seg[:, 0, 1] = av * seg[:, 1, 1] - 1.0
-        return seg
+        d = lam ** 2 + 1.0 - av * lam ** 2
+        return from_entries(av, av * d - 1.0, 1.0, d)
 
     half = n // 2
     seg_a, seg_b = _resolved(shear, half), _resolved(slide, n - half)
     g1 = GroupPath(np.concatenate([seg_a, seg_b[1:]]))
 
+    ks = conjugator_path(g1.nodes @ np.diag([lam, 1.0 / lam]), lam)
+    return g1, GroupPath(ks), unit_path_report(g1, ks, lam)
+
+
+def unit_path_report(g1: GroupPath, k_frames: np.ndarray, lam: float) -> dict:
+    """The report of unit_path from g1 and the frames k_i of its nodes:
+    g1_i diag(lam, 1/lam) = k_i diag(lam, 1/lam) k_i^-1."""
     ms = g1.nodes @ np.diag([lam, 1.0 / lam])
-    ks = conjugator_path(ms, lam)
-    residual = conjugation_residual(ms, ks, lam)
-    k_path = GroupPath(ks)
-    ps = ks[:, 0, 0] * ks[:, 1, 1]
+    ps = k_frames[:, 0, 0] * k_frames[:, 1, 1]
     # eq: tr(g1) = (1 - p s)(lam - 1/lam)^2 + 2 with p, s the k diagonal
     identity_residual = float(np.abs(
         (1.0 - ps) * (lam - 1.0 / lam) ** 2 + 2.0
         - (g1.nodes[:, 0, 0] + g1.nodes[:, 1, 1])).max())
-    k_end_lift, k_gain = cover.rot_along(k_path.nodes)
-    end_lift, gain = cover.rot_along(g1.nodes)
-    report = {
-        "conjugation_residual": residual,
+    k_end_lift, _ = cover.rot_along(k_frames)
+    _, gain = cover.rot_along(g1.nodes)
+    return {
+        "conjugation_residual": conjugation_residual(ms, k_frames, lam),
         "trace_identity_residual": identity_residual,
         "min_ps": float(ps.min()),
-        "k_end_class": str(classify(k_path.node(-1))),
+        "k_end_class": str(classify(GroupElement(k_frames[-1]))),
         "k_rot": cover.rot(k_end_lift),
         "rot_gain": gain,
         "endpoint_trace": float(g1.nodes[-1, 0, 0] + g1.nodes[-1, 1, 1]),
     }
-    return g1, k_path, report
 
 
 # ---------------------------------------------------------------------------

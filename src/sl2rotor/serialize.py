@@ -138,9 +138,15 @@ def obj_to_artifact(obj: dict):
             if not isinstance(obj["report"], dict):
                 raise ParseError("'report' must be a JSON object, got "
                                  f"{obj['report']!r}")
-            return {"g1": obj_to_artifact(obj["g1"]),
-                    "k": obj_to_artifact(obj["k"]),
-                    "report": obj["report"]}
+            lam = obj["lam"]
+            if type(lam) not in (int, float) or not 1.0 < lam < np.inf:
+                raise ParseError(f"'lam' must be a number above 1, got {lam!r}")
+            parts = {part: obj_to_artifact(obj[part]) for part in ("g1", "k")}
+            for part, path in parts.items():
+                if not isinstance(path, GroupPath):
+                    raise ParseError(f"unit-path part {part!r} must be a "
+                                     f"group-path, got {obj[part]['kind']!r}")
+            return {**parts, "lam": lam, "report": obj["report"]}
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise

@@ -11,6 +11,8 @@ JSON.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from . import connections as cx
@@ -536,93 +538,108 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
 # artifact re-verification (the verify --artifact path)
 
 
-def _number(fields: dict, key: str) -> float:
-    """fields[key], which must be a JSON number: a ParseError names it."""
+def _field(fields: dict, key: str, boolean: bool = False):
+    """fields[key], a JSON number, or true/false if boolean: a ParseError
+    names a missing or mistyped one."""
     val = fields.get(key)
-    if type(val) not in (int, float):  # JSON true/false are ints too
-        raise ParseError(f"{key!r} must be a number, got {val!r}")
+    if type(val) not in ((bool,) if boolean else (int, float)):
+        raise ParseError(f"{key!r} must be "
+                         f"{'true or false' if boolean else 'a number'}, "
+                         f"got {val!r}")
     return val
 
 
-_CLAIM_KEYS = {"group-path": {"nonneg", "nonpos", "rot_gain"},
-               "loop-connection": {"rot", "holonomy_trace"},
-               "cylinder-connection": {"nonneg_curved", "flat", "rot_boundary"},
-               "unit-path": {"rot_gain", "k_rot"}}
+# Each artifact kind's claims: `build` writes them (claims_of) and `verify
+# --artifact` re-derives them from this table.  A row with no bound is a
+# number that must match its recomputed value to CLAIM_MATCH (up to sign if
+# mod_sign, as for a PSL(2,R) trace); a row with a bound is a boolean that
+# must equal "the recomputed value is within the bound".
+Claim = namedtuple("Claim", "quantity recompute bound convention mod_sign",
+                   defaults=(None, "", False))
+CLAIMS = {
+    "group-path": {
+        **{side: Claim(f"max {side} cone defect of the left cocycles "
+                       "(slack PATH_CONE_SLACK)", lambda p, neg=neg: float(
+                           p.defects(nonpos=neg).max()), PATH_CONE_SLACK)
+           for side, neg in (("nonneg", False), ("nonpos", True))},
+        "rot_gain": Claim("|rot gain - claim|",
+                          lambda p: cover.rot_along(p.nodes)[1]),
+    },
+    "loop-connection": {
+        "rot": Claim("|rot - claim|", lambda a: a.rot()),
+        "holonomy_trace": Claim("|holonomy trace - claim|",
+                                lambda a: a.holonomy().trace, mod_sign=True),
+    },
+    "cylinder-connection": {
+        # the constructor's curvature is w Ad(Pi) gamma, det w^2 det gamma;
+        # the linear -alpha term is held to the same bound
+        "nonneg_curved": Claim(
+            "max curvature cone defect (slack PATH_CONE_SLACK * bump peak^2)",
+            lambda c: float(cone_defects(c.curvature_grid).max()),
+            PATH_CONE_SLACK * float(cx.bump_weight(0.5)) ** 2),
+        "flat": Claim("max |curvature|", lambda c: float(np.linalg.norm(
+            c.curvature_grid, axis=(2, 3)).max()), MARGIN),
+        "rot_boundary": Claim("|rot_boundary - claim|",
+                              lambda c: c.rot_boundary(),
+                              convention=BOUNDARY_CONVENTION),
+    },
+    # read from the report, which verify re-derives first
+    "unit-path": {key: Claim(f"|{key} - claim|",
+                             lambda u, key=key: u["report"][key])
+                  for key in ("rot_gain", "k_rot")},
+}
+
+
+def claims_of(kind: str, art, **promised) -> dict:
+    """What `build` claims: each number of the kind's table, and each
+    boolean the builder promises (None: the recomputed decision)."""
+    out = {}
+    for name, (_, recompute, bound, _, _) in CLAIMS[kind].items():
+        if bound is None:
+            out[name] = recompute(art)
+        elif name in promised:
+            out[name] = (bool(recompute(art) <= bound)
+                         if promised[name] is None else promised[name])
+    return out
 
 
 def verify_artifact(obj: dict) -> dict:
-    """Re-check the claims stored alongside a built artifact."""
-    art = obj_to_artifact(obj)
+    """Re-derive every claim stored alongside a built artifact."""
+    art, kind = obj_to_artifact(obj), obj["kind"]
     claims = obj.get("claims", {})
     if not isinstance(claims, dict):
         raise ParseError(f"'claims' must be a JSON object, got {claims!r}")
-    for key in claims:
-        if key not in _CLAIM_KEYS[obj["kind"]]:
-            raise ParseError(f"unknown {obj['kind']} claim {key!r}")
     checks = {}
-    if isinstance(art, pth.GroupPath):
-        for side in ("nonneg", "nonpos"):
-            if claims.get(side):
-                checks[side] = _check(
-                    f"max {side} cone defect of the left cocycles "
-                    "(slack PATH_CONE_SLACK)",
-                    float(art.defects(nonpos=side == "nonpos").max()),
-                    PATH_CONE_SLACK)
-        if "rot_gain" in claims:
-            _, gain = cover.rot_along(art.nodes)
-            checks["rot_gain"] = _check(
-                "|rot gain - claim|", abs(gain - _number(claims, "rot_gain")),
-                CLAIM_MATCH)
-    elif isinstance(art, cx.LoopConnection):
-        if "rot" in claims:
-            checks["rot"] = _check("|rot - claim|",
-                                   abs(art.rot() - _number(claims, "rot")),
-                                   CLAIM_MATCH)
-        if "holonomy_trace" in claims:
-            checks["holonomy_trace"] = _check(
-                "|holonomy trace - claim|",
-                abs(abs(art.holonomy().trace)
-                    - abs(_number(claims, "holonomy_trace"))),
-                CLAIM_MATCH)
-    elif isinstance(art, cx.CylinderConnection):
-        if claims.get("nonneg_curved"):
-            # the constructor's curvature is w Ad(Pi) gamma, det w^2 det gamma;
-            # the linear -alpha term is held to the same bound
-            checks["curvature"] = _check(
-                "max curvature cone defect "
-                "(slack PATH_CONE_SLACK * bump peak^2)",
-                float(cone_defects(art.curvature_grid).max()),
-                PATH_CONE_SLACK * float(cx.bump_weight(0.5)) ** 2)
-        if claims.get("flat"):
-            checks["flat"] = _check(
-                "max |curvature|",
-                float(np.linalg.norm(art.curvature_grid, axis=(2, 3)).max()),
-                MARGIN)
-        if "rot_boundary" in claims:
-            checks["rot_boundary"] = _check(
-                "|rot_boundary - claim|",
-                abs(art.rot_boundary() - _number(claims, "rot_boundary")),
-                CLAIM_MATCH,
-                convention=BOUNDARY_CONVENTION)
-    elif isinstance(art, dict) and "report" in art:  # unit-path bundle
-        rep = art["report"]
-        checks["residuals"] = _check(
-            "max stored residual", max(_number(rep, "conjugation_residual"),
-                                       _number(rep, "trace_identity_residual")),
-            1e-6)
-        _, k_gain = cover.rot_along(art["k"].nodes)
-        _, gain = cover.rot_along(art["g1"].nodes)
-        checks["rots"] = _check(
-            "recomputed rot deviations",
-            max(abs(gain - _number(rep, "rot_gain")),
-                abs(k_gain - _number(rep, "k_rot"))), 0.0)
-        for key, val in (("rot_gain", gain), ("k_rot", k_gain)):
-            if key in claims:
-                checks[key] = _check(f"|{key} - claim|", abs(
-                    val - _number(claims, key)), CLAIM_MATCH)
-        checks["ps"] = _check("min p s", float(
-            (art["k"].nodes[:, 0, 0] * art["k"].nodes[:, 1, 1]).min()),
-            0.0, mode="ge")
-    ok = all(c["satisfied"] for c in checks.values())
-    return {"artifact": obj.get("kind"), "checks": checks, "passed": ok,
-            "claims": claims}
+    if kind == "unit-path":
+        # the claims read the report re-derived from the nodes; GroupPath
+        # renormalises the loaded k again (not idempotent): hence CLAIM_MATCH
+        stored = art["report"]
+        rep = art["report"] = pth.unit_path_report(art["g1"], art["k"].nodes,
+                                                   art["lam"])
+        devs = [float(stored.get(key) != val) if isinstance(val, str)
+                else abs(val - _field(stored, key)) for key, val in rep.items()]
+        checks = {
+            "residuals": _check("max recomputed residual", max(
+                rep["conjugation_residual"], rep["trace_identity_residual"]),
+                1e-6),
+            "report": _check("max |stored - recomputed| report field (text: "
+                             "1 if it differs)", max(devs), CLAIM_MATCH),
+            "ps": _check("min p s", rep["min_ps"], 0.0, mode="ge"),
+        }
+    for name in claims:
+        if name not in CLAIMS[kind]:
+            raise ParseError(f"unknown {kind} claim {name!r}")
+        quantity, recompute, bound, convention, mod_sign = CLAIMS[kind][name]
+        claim = _field(claims, name, boolean=bound is not None)
+        value = recompute(art)
+        if bound is None:
+            dev = (abs(abs(value) - abs(claim)) if mod_sign
+                   else abs(value - claim))
+            checks[name] = _check(quantity, dev, CLAIM_MATCH,
+                                  convention=convention)
+        else:
+            checks[name] = {**_check(quantity, value, bound,
+                                     "le" if claim else "ge", convention),
+                            "satisfied": bool(value <= bound) == claim}
+    return {"artifact": kind, "checks": checks, "claims": claims,
+            "passed": all(c["satisfied"] for c in checks.values())}

@@ -247,7 +247,7 @@ def test_verify_refuses_negative_elliptic_curvature(capsys, tmp_path, c):
     dump_json({**obj, "claims": {"nonneg_curved": True}}, str(f))
     code, out, _ = run(capsys, "verify", "--artifact", str(f))
     assert code == 1
-    check = json.loads(out)["checks"]["curvature"]
+    check = json.loads(out)["checks"]["nonneg_curved"]
     assert not check["satisfied"]
     assert abs(check["value"] - c) < 1e-12
 
@@ -436,6 +436,22 @@ UNIT = ["lam_target=2.0", "lam=2.6"]
                  lambda o: o["claims"].update(rot_gian=2.0),
                  "unknown unit-path claim 'rot_gian'",
                  id="unknown-unit-path-claim"),
+    pytest.param("unit-path", UNIT, lambda o: o.update(g1=json.loads(
+                     dumps_json(loop_to_obj(cx.winding_loop(
+                         1, [[0.1, 0.0], [0.0, -0.1]], 16))))),
+                 "unit-path part 'g1' must be a group-path",
+                 id="g1-loop-connection"),
+    pytest.param("unit-path", UNIT,
+                 lambda o: o.update(k=json.loads(json.dumps(o))),
+                 "unit-path part 'k' must be a group-path", id="k-unit-path"),
+    pytest.param("unit-path", UNIT, lambda o: o.pop("lam"), "'lam'",
+                 id="lam-missing"),
+    pytest.param("spiral-path", ["r=1"],
+                 lambda o: o["claims"].update(nonneg="yes"),
+                 "'nonneg' must be true or false", id="nonneg-str"),
+    pytest.param("spiral-path", ["r=1"],
+                 lambda o: o["claims"].update(nonneg=0),
+                 "'nonneg' must be true or false", id="nonneg-int"),
 ])
 def test_verify_rejects_mistyped_claims_and_reports(capsys, tmp_path, kind,
                                                     params, spoil, says):
@@ -468,7 +484,73 @@ def test_verify_checks_unit_path_claims(capsys, tmp_path):
     assert code == 1 and rep["passed"] is False
     assert not rep["checks"]["rot_gain"]["satisfied"]
     assert not rep["checks"]["k_rot"]["satisfied"]
-    assert rep["checks"]["rots"]["satisfied"]
+    assert rep["checks"]["report"]["satisfied"]
+
+
+# the claims each build writes, by kind (a value gives the claim's JSON
+# type), and the numbers of a unit-path report
+TAMPERED = {
+    "spiral-path": (["r=2"], {"nonneg": True, "rot_gain": 0.0}),
+    "elliptic-path": ([], {"nonneg": True, "rot_gain": 0.0}),
+    "hyperbolic-path": (["invert=true"], {"nonpos": True, "rot_gain": 0.0}),
+    "unit-path": (UNIT, {"rot_gain": 0.0, "k_rot": 0.0}),
+    "cylinder": (["src={hyperbolic-path}"],
+                 {"nonneg_curved": True, "flat": False, "rot_boundary": 0.0}),
+    "cover": (["mu=3"], {"rot": 0.0, "holonomy_trace": 0.0}),
+}
+REPORT_NUMBERS = ("conjugation_residual", "trace_identity_residual",
+                  "min_ps", "k_rot", "rot_gain", "endpoint_trace")
+
+
+def _tamperings():
+    for kind, (_, claims) in TAMPERED.items():
+        yield pytest.param(kind, None, id=f"{kind}-untouched")
+        for key, val in claims.items():
+            edit = "flip" if type(val) is bool else "move"
+            yield pytest.param(kind, (edit, "claims", key),
+                               id=f"{kind}-{edit}-{key}")
+            yield pytest.param(kind, ("rename", "claims", key),
+                               id=f"{kind}-rename-{key}")
+    for key in REPORT_NUMBERS:
+        yield pytest.param("unit-path", ("move", "report", key),
+                           id=f"unit-path-move-report-{key}")
+
+
+@pytest.fixture(scope="module")
+def built_at_64(tmp_path_factory):
+    out = tmp_path_factory.mktemp("built")
+    files = {}
+    for kind, (params, _) in TAMPERED.items():
+        files[kind] = out / f"{kind}.json"
+        assert entry(["build", kind, *[p.format(**files) for p in params],
+                      "--res", "64", "--out", str(files[kind])]) == 0
+    return {kind: json.loads(f.read_text()) for kind, f in files.items()}
+
+
+@pytest.mark.parametrize("kind, tamper", _tamperings())
+def test_verify_refuses_every_tampered_claim(capsys, tmp_path, built_at_64,
+                                             kind, tamper):
+    # each claim is re-derived: a number moved by 1e-6, a boolean flipped or
+    # a key renamed gives passed false (exit 1) or a ParseError (exit 2)
+    obj = json.loads(json.dumps(built_at_64[kind]))
+    assert {k: type(v) for k, v in obj["claims"].items()} == {
+        k: type(v) for k, v in TAMPERED[kind][1].items()}
+    f = tmp_path / "art.json"
+    if tamper is not None:
+        edit, part, key = tamper
+        fields = obj[part]
+        if edit == "move":
+            fields[key] += 1e-6
+        elif edit == "flip":
+            fields[key] = not fields[key]
+        else:
+            fields[key + "_renamed"] = fields.pop(key)
+    f.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--artifact", str(f))
+    if tamper is None:
+        assert code == 0 and json.loads(out)["passed"] is True, out
+    else:
+        assert code in (1, 2) and json.loads(out)["passed"] is False
 
 
 def test_one_parser_serves_a_process(capsys, tmp_path):
@@ -544,12 +626,25 @@ def check_stdlib_format(capsys, tmp_path):
         assert code == 0, err
         text = f.read_text()
         obj = json.loads(text)
-        assert text == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        assert_same(text.splitlines(keepends=True),
+                    (json.dumps(obj, sort_keys=True, indent=1)
+                     + "\n").splitlines(keepends=True), f"{kind} line")
         found = payloads(obj)
         assert found
         for data, shape in found:
             back = _decode(data, shape)
-            assert data == [float.hex(float(v)) for v in back.ravel()]
+            assert_same(data, [float.hex(float(v)) for v in back.ravel()],
+                        f"{kind} payload item")
+
+
+def assert_same(got: list, want: list, what: str) -> None:
+    """got == want, or a failure naming the first differing item and its two
+    values: pytest's own diff of two 100k-item texts runs for minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"{what} {i + 1} differs: {got[i:i + 1]} != "
+                    f"{want[i:i + 1]}", pytrace=False)
 
 
 def test_build_examples_compare(tmp_path, monkeypatch, capsys):
