@@ -48,7 +48,7 @@ from .core import (
 from .paths import GroupPath, align_signs
 
 DEFAULT_RES = 256
-# s-rows per step of the cylinder constructor's batched recursion
+# s-rows per block of the cylinder constructor and the Dehn twist
 _ROW_BLOCK = 32
 
 
@@ -122,13 +122,20 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray,
     x = t * m if group else t / (1.0 / m)
     j = np.floor(x)
     frac = x - j
-    # gather both neighbours by flat (row, node) index from the entry planes,
-    # views for a whole grid; j % m is wrapped while still float, so no index
-    # overflows, as the cheaper fmod shifted up where negative
-    base = np.arange(0.0, len(rows) * m, m)[:, None]
+    # node index j mod m, wrapped while still float so that no index
+    # overflows (fmod is exact, shifted up where negative), then both
+    # neighbours as flat (row, node) indexes into the entry planes, which
+    # are views for a whole grid or a block of its rows
+    r = np.fmod(j, m)
+    np.add(r, m, out=r, where=r < 0)
+    i0 = r.astype(np.intp)
+    i1 = i0 + 1
+    i1[i1 == m] = 0
+    base = np.arange(0, len(rows) * m, m)[:, None]
+    i0 += base
+    i1 += base
     ent = np.moveaxis(rows, (-2, -1), (0, 1)).reshape(2, 2, -1)
-    a, b = (ent[:, :, (r + np.where(r < 0, base + m, base)).astype(np.intp)]
-            for r in (np.fmod(j, m), np.fmod(j + 1, m)))
+    a, b = ent.take(i0, axis=2), ent.take(i1, axis=2)
     if group:
         dot = a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] \
             + a[1, 1] * b[1, 1]
@@ -143,15 +150,14 @@ def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
     # central derivative along axis 0 at node spacing dt, 2nd-order
     # one-sided at the ends of a non-periodic axis
     out = np.empty_like(vals)
+    np.subtract(vals[2:], vals[:-2], out=out[1:-1])
     if periodic:  # the neighbours wrap around
-        np.subtract(vals[2:], vals[:-2], out=out[1:-1])
         np.subtract(vals[1], vals[-1], out=out[0])
         np.subtract(vals[0], vals[-2], out=out[-1])
-        out /= 2 * dt
-        return out
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
-    out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
-    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
+    else:
+        out[0] = -3 * vals[0] + 4 * vals[1] - vals[2]
+        out[-1] = 3 * vals[-1] - 4 * vals[-2] + vals[-3]
+    out /= 2 * dt
     return out
 
 
@@ -175,11 +181,13 @@ def _traceless(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _regauge(x: np.ndarray, xa: np.ndarray, dt: float) -> np.ndarray:
+def _regauge(x: np.ndarray, xa: np.ndarray, dt: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     # (x a + dx/dt) x^-1 projected to traceless, from xa = x a, which is
-    # overwritten; t is the node axis of the frames x, the third from the end
+    # overwritten; t is the node axis of the frames x, the third from the
+    # end, and x may broadcast against xa along the leading axes
     xa += np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, True), 0, -3)
-    out = mul2(xa, mat_inv(x))
+    out = mul2(xa, mat_inv(x), out=out)
     tr = out[..., 0, 0] + out[..., 1, 1]
     return sub_identity(out, 0.5 * tr, out=out)
 
@@ -316,10 +324,18 @@ class CylinderConnection:
     @cached_property
     def curvature_grid(self) -> np.ndarray:
         """-dA/ds: central differences inside, 2nd-order one-sided at ends."""
-        return -_dt_of_grid(self.grid, self.ds, False)
+        curv = _dt_of_grid(self.grid, self.ds, False)
+        return np.negative(curv, out=curv)
 
     def curvature_margins(self) -> np.ndarray:
-        return cone_margins(self.curvature_grid)
+        """Cone margins of the curvature grid; computed once, read-only."""
+        return self._curvature_margins
+
+    @cached_property
+    def _curvature_margins(self) -> np.ndarray:
+        margins = cone_margins(self.curvature_grid)
+        margins.setflags(write=False)
+        return margins
 
     def is_flat(self) -> bool:
         return bool(np.linalg.norm(self.curvature_grid, axis=(2, 3)).max()
@@ -342,7 +358,13 @@ class CylinderConnection:
     # -- boundary rotation ----------------------------------------------
 
     def rot_boundary(self) -> float:
-        """rot(lift at s=1) - rot(lift at s=0); the s=0 circle is reversed."""
+        """rot(lift at s=1) - rot(lift at s=0); the s=0 circle is reversed.
+
+        Computed once per cylinder."""
+        return self._rot_boundary
+
+    @cached_property
+    def _rot_boundary(self) -> float:
         l0 = self.lifted_holonomy_loop(0)
         l1 = self.lifted_holonomy_loop(self.ns - 1)
         return cover_mod.rot(l1) - cover_mod.rot(l0)
@@ -519,39 +541,61 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     composing the recorded frames keeps rot_c honest, which then drops by
     the boundary rot.
     """
-    ns = conn.ns
+    ns, shape = conn.ns, conn.grid.shape
     svals = np.linspace(0.0, 1.0, ns)
     beta = smoothstep(svals)
     u = np.clip((svals - 0.25) * 2.0, 0.0, 1.0)
     dbeta = 60.0 * u ** 2 * (1.0 - u) ** 2  # exact beta'
     t_tw = conn.t_nodes[None, :] - beta[:, None]
     t_tw -= np.floor(t_tw)  # % 1.0 to the bit, without the float remainder
-    a_tw = _interp_rows(conn.grid, t_tw)
+
+    def twisted(lo, hi):  # A(s, t - beta) on the rows lo..hi - 1
+        return _interp_rows(conn.grid[lo:hi], t_tw[lo:hi])
 
     # re-trivialize: dPsi/ds = -Psi A_s with A_s = -beta' A(s, t - beta),
-    # Psi(0, .) = 1, midpoint rule, every step exponential in one call
-    steps = a_tw[:-1] * -dbeta[:-1, None, None, None]
-    steps += a_tw[1:] * -dbeta[1:, None, None, None]
-    steps *= -0.5 * conn.ds
-    steps = sl2_exp(steps)
-    psi = planes(conn.grid.shape)
-    psi[0] = np.eye(2)
-    for i in range(ns - 1):
-        np.matmul(psi[i], steps[i], out=psi[i + 1])
-    del steps
-
-    # the twisted grid is freed before the re-gauge allocates
-    new_grid = mul2(psi, a_tw)
-    del a_tw
-    new_grid = _regauge(psi, new_grid, conn.dt)
+    # Psi(0, .) = 1, midpoint rule.  beta' is exactly 0 off (1/4, 3/4), so
+    # the steps there are exactly 1: psi is 1 on the rows up to lo, and
+    # psi[hi] from hi on, where row hi takes the first step of 1 after the
+    # moving band (it may turn a -0 of psi into +0, later steps do not).
+    # The rows go through in blocks, so the temporaries stay a block deep
+    moving = np.flatnonzero(dbeta)
+    lo, hi = moving[0] - 1, min(moving[-1] + 2, ns - 1)
+    grid, psi = planes(shape), planes(shape)
+    psi[:lo + 1] = np.eye(2)
+    for b0 in range(0, lo + 1, _ROW_BLOCK):
+        # the regauge by 1 adds its zero t-derivative, turning -0 into +0,
+        # and leaves the projected twisted sample
+        b1 = min(b0 + _ROW_BLOCK, lo + 1)
+        a = twisted(b0, b1)
+        a += 0.0
+        sub_identity(a, 0.5 * (a[..., 0, 0] + a[..., 1, 1]), out=grid[b0:b1])
+    for b0 in range(lo, hi, _ROW_BLOCK):
+        # rows b0 + 1..b1: every step exponential of a block in one call,
+        # each step from the twisted rows on both its sides
+        b1 = min(b0 + _ROW_BLOCK, hi)
+        a = twisted(b0, b1 + 1)
+        steps = a[:-1] * -dbeta[b0:b1, None, None, None]
+        steps += a[1:] * -dbeta[b0 + 1:b1 + 1, None, None, None]
+        steps *= -0.5 * conn.ds
+        steps = sl2_exp(steps)
+        for i in range(b1 - b0):
+            np.matmul(psi[b0 + i], steps[i], out=psi[b0 + i + 1])
+        rows = psi[b0 + 1:b1 + 1]
+        _regauge(rows, mul2(rows, a[1:]), conn.dt, out=grid[b0 + 1:b1 + 1])
+    psi[hi + 1:] = psi[hi]
+    last = psi[hi:hi + 1]
+    for b0 in range(hi + 1, ns, _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, ns)
+        _regauge(last, mul2(last, twisted(b0, b1)), conn.dt, out=grid[b0:b1])
 
     # the old frame at the twisted times, composed after psi; without a
     # recorded frame (the identity) the new frame is psi itself
-    if conn.s_frame is None:
-        new_frame = psi
-    else:
-        new_frame = mul2(psi, _interp_rows(conn.s_frame, t_tw, group=True))
-    return CylinderConnection(new_grid, s_frame=new_frame)
+    if conn.s_frame is not None:
+        for b0 in range(0, ns, _ROW_BLOCK):
+            blk = slice(b0, b0 + _ROW_BLOCK)
+            psi[blk] = mul2(psi[blk], _interp_rows(
+                conn.s_frame[blk], t_tw[blk], group=True))
+    return CylinderConnection(grid, s_frame=psi)
 
 
 # ---------------------------------------------------------------------------

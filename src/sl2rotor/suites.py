@@ -606,9 +606,11 @@ def claims_of(kind: str, art, **promised) -> dict:
 def verify_artifact(obj: dict) -> dict:
     """Re-derive every claim stored alongside a built artifact."""
     art, kind = obj_to_artifact(obj), obj["kind"]
-    claims = obj.get("claims", {})
-    if not isinstance(claims, dict):
-        raise ParseError(f"'claims' must be a JSON object, got {claims!r}")
+    claims = obj.get("claims")
+    if not isinstance(claims, dict) or not claims:
+        # an artifact that claims nothing would pass with nothing checked
+        raise ParseError(f"'claims' must be a non-empty JSON object, got "
+                         f"{claims!r}")
     checks = {}
     if kind == "unit-path":
         # the claims read the report re-derived from the nodes; GroupPath

@@ -469,6 +469,22 @@ def test_verify_rejects_mistyped_claims_and_reports(capsys, tmp_path, kind,
     assert says in err
 
 
+@pytest.mark.parametrize("spoil", [lambda o: o.pop("claims"),
+                                   lambda o: o.update(claims={})],
+                         ids=["absent", "empty"])
+def test_verify_refuses_an_artifact_with_no_claims(capsys, tmp_path, spoil):
+    f = tmp_path / "art.json"
+    assert run(capsys, "build", "spiral-path", "--res", "64",
+               "--out", str(f))[0] == 0
+    obj = json.loads(f.read_text())
+    spoil(obj)
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--artifact", str(f))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("ParseError: 'claims'")
+    assert "'claims'" in err
+
+
 def test_verify_checks_unit_path_claims(capsys, tmp_path):
     # the claims are compared with the recomputed gains, not only the
     # stored report

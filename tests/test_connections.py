@@ -137,6 +137,15 @@ def test_boundary_loops():
     assert ell0.rot() == ell1.rot() == 1.0
 
 
+def test_boundary_rot_and_margins_are_computed_once():
+    conn = cx.pullback_flat(cx.winding_loop(1, GAMMA_H, 32), 9)
+    assert conn.rot_boundary() is conn.rot_boundary()
+    margins = conn.curvature_margins()
+    assert conn.curvature_margins() is margins
+    with pytest.raises(ValueError, match="read-only"):
+        margins[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("end", [5, -3, 0.5, 2, -1])
 def test_boundary_loop_takes_only_the_two_ends(end):
     conn = cx.pullback_flat(cx.winding_loop(1, GAMMA_H, 16), 5)
@@ -491,7 +500,7 @@ def test_interp_rows_matches_per_sample_reference(group):
     m = rows.shape[1]
     special = [0.0, 1.0, 3.0 / m, 7.0 / m, np.nextafter(1.0, 0.0),
                1.0 + 1e-13, -1e-13, -0.3, 1.7,
-               -1.0, -2.0 + 0.25, 2.0, 2.5, 1e6 + 0.3]
+               -1.0, -2.0 + 0.25, 2.0, 2.5, 1e6 + 0.3, 1e19, -1e19]
     t = np.concatenate([np.tile(special, (4, 1)),
                         rng.uniform(-1.5, 2.5, size=(4, 30))], axis=1)
     got = cx._interp_rows(rows, t, group=group)
@@ -602,28 +611,44 @@ def twist_reference_matmul(conn):
     return cx.CylinderConnection(grid, s_frame=psi @ old)
 
 
-@pytest.mark.parametrize("size", [16, 24])
+def twist_case(ns, mt, gauged):
+    conn = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, mt), 2), ns)
+    return cx.gauge(conn, rotation_gauge(3, ns, mt)) if gauged else conn
+
+
+# ns 17 and 25 put s-nodes exactly on 1/4 and 3/4, where beta' turns 0
+TWIST_GRIDS = pytest.mark.parametrize(
+    ("ns", "mt"), [(16, 16), (24, 24), (17, 17), (25, 25), (17, 24)],
+    ids=["16", "24", "17", "25", "17x24"])
+
+
+@TWIST_GRIDS
 @pytest.mark.parametrize("gauged", [False, True])
-def test_dehn_twist_matches_per_sample_reference(size, gauged):
-    conn = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, size), 2),
-                            size)
-    if gauged:
-        conn = cx.gauge(conn, rotation_gauge(3, size, size))
+def test_dehn_twist_matches_per_sample_reference(ns, mt, gauged):
+    conn = twist_case(ns, mt, gauged)
     got, want = cx.dehn_twist(conn), twist_reference(conn)
     assert np.array_equal(got.grid, want.grid)
     assert np.array_equal(got.s_frame, want.s_frame)
 
 
-@pytest.mark.parametrize("size", [16, 24])
+@TWIST_GRIDS
 @pytest.mark.parametrize("gauged", [False, True])
-def test_dehn_twist_is_near_the_matmul_reference(size, gauged):
-    conn = cx.pullback_flat(cx.cover(cx.winding_loop(1, GAMMA_H, size), 2),
-                            size)
-    if gauged:
-        conn = cx.gauge(conn, rotation_gauge(3, size, size))
+def test_dehn_twist_is_near_the_matmul_reference(ns, mt, gauged):
+    conn = twist_case(ns, mt, gauged)
     got, want = cx.dehn_twist(conn), twist_reference_matmul(conn)
     assert_near(got.grid, want.grid)
     assert_near(got.s_frame, want.s_frame)
+
+
+@TWIST_GRIDS
+def test_dehn_twist_keeps_the_reference_signed_zeros(ns, mt):
+    # a diagonal connection with -0 off the diagonal: the regauge by psi = 1
+    # turns the -0 into +0, which the band that skips it must reproduce
+    conn = cx.pullback_flat(cx.constant_loop(
+        np.array([[0.3, -0.0], [-0.0, -0.3]]), mt), ns)
+    got, want = cx.dehn_twist(conn), twist_reference(conn)
+    assert_bits_equal(got.grid, want.grid)
+    assert_bits_equal(got.s_frame, want.s_frame)
 
 
 def test_dehn_twist_shifts_crossing_rot():
