@@ -121,21 +121,31 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray,
     # and each keeps the rounding its samplers have always used
     x = t * m if group else t / (1.0 / m)
     j = np.floor(x)
-    frac = x - j
-    # node index j mod m, wrapped while still float so that no index
-    # overflows (fmod is exact, shifted up where negative), then both
-    # neighbours as flat (row, node) indexes into the entry planes, which
-    # are views for a whole grid or a block of its rows
-    r = np.fmod(j, m)
-    np.add(r, m, out=r, where=r < 0)
-    i0 = r.astype(np.intp)
-    i1 = i0 + 1
-    i1[i1 == m] = 0
-    base = np.arange(0, len(rows) * m, m)[:, None]
-    i0 += base
-    i1 += base
-    ent = np.moveaxis(rows, (-2, -1), (0, 1)).reshape(2, 2, -1)
-    a, b = ent.take(i0, axis=2), ent.take(i1, axis=2)
+    frac = np.subtract(x, j, out=x)
+    # node index j mod m of both neighbours, wrapped while still float so
+    # that no index overflows (fmod is exact, shifted up where negative)
+    np.fmod(j, m, out=j)
+    np.add(j, m, out=j, where=j < 0)
+    j0 = j.astype(np.intp)
+    j1 = j0 + 1
+    j1[j1 == m] = 0
+    if rows[..., 0, 0].flags.c_contiguous:
+        # plane-major rows (a whole grid or a block of its rows): take
+        # gathers flat (row, node) indexes from the four entry planes
+        base = np.arange(0, len(rows) * m, m)[:, None]
+        j0 += base
+        j1 += base
+        ent = np.moveaxis(rows, (-2, -1), (0, 1)).reshape(2, 2, -1)
+        a, b = ent.take(j0, axis=2), ent.take(j1, axis=2)
+    else:
+        # take would first copy the whole grid: index each entry in place,
+        # into planes as above
+        i = np.arange(len(rows))[:, None]
+        a, b = np.empty((2, 2) + x.shape), np.empty((2, 2) + x.shape)
+        for p in (0, 1):
+            for q in (0, 1):
+                a[p, q] = rows[i, j0, p, q]
+                b[p, q] = rows[i, j1, p, q]
     if group:
         dot = a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] \
             + a[1, 1] * b[1, 1]
@@ -146,17 +156,12 @@ def _interp_rows(rows: np.ndarray, t: np.ndarray,
     return np.moveaxis(a, (0, 1), (-2, -1))
 
 
-def _dt_of_grid(vals: np.ndarray, dt: float, periodic: bool) -> np.ndarray:
-    # central derivative along axis 0 at node spacing dt, 2nd-order
-    # one-sided at the ends of a non-periodic axis
+def _dt_of_grid(vals: np.ndarray, dt: float) -> np.ndarray:
+    # central derivative along the periodic axis 0 at node spacing dt
     out = np.empty_like(vals)
     np.subtract(vals[2:], vals[:-2], out=out[1:-1])
-    if periodic:  # the neighbours wrap around
-        np.subtract(vals[1], vals[-1], out=out[0])
-        np.subtract(vals[0], vals[-2], out=out[-1])
-    else:
-        out[0] = -3 * vals[0] + 4 * vals[1] - vals[2]
-        out[-1] = 3 * vals[-1] - 4 * vals[-2] + vals[-3]
+    np.subtract(vals[1], vals[-1], out=out[0])  # the neighbours wrap around
+    np.subtract(vals[0], vals[-2], out=out[-1])
     out /= 2 * dt
     return out
 
@@ -169,16 +174,27 @@ def _step_logs(a: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _traceless(a: np.ndarray, what: str) -> np.ndarray:
-    # finite and traceless to 1e-9, returned projected and read-only
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} must be finite")
-    tr = a[..., 0, 0] + a[..., 1, 1]
-    if np.abs(tr).max() > 1e-9:
-        raise ValueError(f"{what} must be traceless")
-    a = sub_identity(a, 0.5 * tr)
-    a.setflags(write=False)
-    return a
+def _traceless(a: np.ndarray, what: str, out: np.ndarray) -> np.ndarray:
+    # finite, and traceless as |a00 + a11| <= 1e-9 max(1, |a00|, |a11|) for
+    # each value; checked and projected into out, which may be a, one row
+    # block of a grid at a time, and out is returned read-only
+    step = _ROW_BLOCK if a.ndim == 4 else len(a)
+    for lo in range(0, len(a), step):
+        blk = a[lo:lo + step]
+        if not np.isfinite(blk).all():
+            raise ValueError(f"{what} must be finite")
+        d0, d1 = blk[..., 0, 0], blk[..., 1, 1]
+        tr = d0 + d1
+        err = np.abs(tr)
+        if err.max() > 1e-9:  # only then can the diagonal's size matter
+            bound = np.maximum(np.abs(d0), np.abs(d1))
+            np.maximum(bound, 1.0, out=bound)
+            if (err > 1e-9 * bound).any():
+                raise ValueError(f"{what} must be traceless")
+        tr *= 0.5
+        sub_identity(blk, tr, out=out[lo:lo + step])
+    out.setflags(write=False)
+    return out
 
 
 def _regauge(x: np.ndarray, xa: np.ndarray, dt: float,
@@ -186,7 +202,7 @@ def _regauge(x: np.ndarray, xa: np.ndarray, dt: float,
     # (x a + dx/dt) x^-1 projected to traceless, from xa = x a, which is
     # overwritten; t is the node axis of the frames x, the third from the
     # end, and x may broadcast against xa along the leading axes
-    xa += np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt, True), 0, -3)
+    xa += np.moveaxis(_dt_of_grid(np.moveaxis(x, -3, 0), dt), 0, -3)
     out = mul2(xa, mat_inv(x), out=out)
     tr = out[..., 0, 0] + out[..., 1, 1]
     return sub_identity(out, 0.5 * tr, out=out)
@@ -206,7 +222,8 @@ class LoopConnection:
         a = np.asarray(self.samples, dtype=float)
         if a.ndim != 3 or a.shape[1:] != (2, 2) or len(a) < 4:
             raise ValueError(f"need an (M, 2, 2) sample array, got {a.shape}")
-        object.__setattr__(self, "samples", _traceless(a, "samples"))
+        object.__setattr__(self, "samples",
+                           _traceless(a, "samples", np.empty_like(a)))
 
     @property
     def m(self) -> int:
@@ -284,20 +301,33 @@ class CylinderConnection:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
+        self._settle(g, np.empty_like(g), self.s_frame)
+
+    @classmethod
+    def _adopt(cls, grid: np.ndarray,
+               s_frame: np.ndarray | None = None) -> CylinderConnection:
+        # a cylinder over a grid (and frame) that its builder has just
+        # allocated: checked and projected in place, not copied
+        conn = object.__new__(cls)
+        conn._settle(grid, grid, s_frame)
+        return conn
+
+    def _settle(self, g: np.ndarray, out: np.ndarray,
+                s_frame: np.ndarray | None) -> None:
         if g.ndim != 4 or g.shape[2:] != (2, 2) or g.shape[0] < 3 or g.shape[1] < 4:
             raise ValueError(f"need an (Ns, Mt, 2, 2) grid with Ns >= 3 and "
                              f"Mt >= 4, got {g.shape}")
-        g = _traceless(g, "grid values")
-        object.__setattr__(self, "grid", g)
-        if self.s_frame is not None:
-            f = np.asarray(self.s_frame, dtype=float)
+        object.__setattr__(self, "grid", _traceless(g, "grid values", out))
+        if s_frame is not None:
+            f = np.asarray(s_frame, dtype=float)
             if f.shape != g.shape:
                 raise ValueError("frame grid must match the connection grid")
-            if not np.isfinite(f).all():
+            if not all(np.isfinite(f[lo:lo + _ROW_BLOCK]).all()
+                       for lo in range(0, len(f), _ROW_BLOCK)):
                 raise ValueError("frame grid must be finite")
-            f = f.view()  # frozen without freezing the caller's array
-            f.setflags(write=False)
-            object.__setattr__(self, "s_frame", f)
+            s_frame = f.view()  # frozen without freezing the caller's array
+            s_frame.setflags(write=False)
+        object.__setattr__(self, "s_frame", s_frame)
 
     @property
     def ns(self) -> int:
@@ -321,30 +351,66 @@ class CylinderConnection:
 
     # -- curvature ----------------------------------------------------
 
+    def _curvature_rows(self, lo: int, hi: int) -> np.ndarray:
+        # -dA/ds on the rows lo..hi - 1: central differences inside,
+        # 2nd-order one-sided at the ends
+        g, ns = self.grid, self.ns
+        hi = min(hi, ns)
+        a, b = max(lo, 1), min(hi, ns - 1)  # the rows with both neighbours
+        out = np.empty_like(g[lo:hi])
+        np.subtract(g[a + 1:b + 1], g[a - 1:b - 1], out=out[a - lo:b - lo])
+        if lo == 0:
+            out[0] = -3 * g[0] + 4 * g[1] - g[2]
+        if hi == ns:
+            out[-1] = 3 * g[-1] - 4 * g[-2] + g[-3]
+        out /= 2 * self.ds
+        return np.negative(out, out=out)
+
     @cached_property
     def curvature_grid(self) -> np.ndarray:
-        """-dA/ds: central differences inside, 2nd-order one-sided at ends."""
-        curv = _dt_of_grid(self.grid, self.ds, False)
-        return np.negative(curv, out=curv)
+        """-dA/ds: central differences inside, 2nd-order one-sided at ends.
+
+        Formed only on request: the margins and maxima below never form it."""
+        return self._curvature_rows(0, self.ns)
+
+    @cached_property
+    def _curvature(self) -> tuple[np.ndarray, float, float]:
+        # the cone margins, the max cone defect and the max norm of the
+        # curvature, from one pass of row blocks; the max norm is the root
+        # of the max squared norm, summed as np.linalg.norm sums it
+        margins = np.empty(self.grid.shape[:2])
+        defects, squares = [], []
+        for lo in range(0, self.ns, _ROW_BLOCK):
+            curv = self._curvature_rows(lo, lo + _ROW_BLOCK)
+            margins[lo:lo + len(curv)] = cone_margins(curv)
+            defects.append(cone_defects(curv).max())
+            curv *= curv
+            squares.append(np.add.reduce(curv, axis=(2, 3)).max())
+        margins.setflags(write=False)
+        return (margins, float(np.max(defects)),
+                float(np.sqrt(np.max(squares))))
 
     def curvature_margins(self) -> np.ndarray:
         """Cone margins of the curvature grid; computed once, read-only."""
-        return self._curvature_margins
+        return self._curvature[0]
 
-    @cached_property
-    def _curvature_margins(self) -> np.ndarray:
-        margins = cone_margins(self.curvature_grid)
-        margins.setflags(write=False)
-        return margins
+    def max_curvature_defect(self) -> float:
+        """Largest cone defect of the curvature grid; computed once."""
+        return self._curvature[1]
+
+    def max_curvature_norm(self) -> float:
+        """Largest Frobenius norm of the curvature grid; computed once."""
+        return self._curvature[2]
 
     def is_flat(self) -> bool:
-        return bool(np.linalg.norm(self.curvature_grid, axis=(2, 3)).max()
-                    <= MARGIN)
+        return self.max_curvature_norm() <= MARGIN
 
     # -- t-transport ---------------------------------------------------
 
     def holonomy_loop(self, i: int) -> GroupElement:
-        return self.lifted_holonomy_loop(i).g
+        # the last partial transport, which is the tracked lift's g
+        return GroupElement(cover_mod.left_products(
+            sl2_exp(_step_logs(self.grid[i])))[-1])
 
     def lifted_holonomy_loop(self, i: int) -> cover_mod.LiftedElement:
         return cover_mod.lift_of_products(_step_logs(self.grid[i]))
@@ -374,7 +440,7 @@ def pullback_flat(a: LoopConnection, ns: int = DEFAULT_RES) -> CylinderConnectio
     """Radial-projection pullback: A(s, t) = a(t), flat by construction."""
     grid = planes((ns,) + a.samples.shape)
     grid[...] = a.samples
-    return CylinderConnection(grid)
+    return CylinderConnection._adopt(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +501,7 @@ def from_nonpositive_path(path: GroupPath, a0: LoopConnection,
         rows *= hw
         pis[0] = pis[k]
     np.add.accumulate(grid, axis=0, out=grid)
-    return CylinderConnection(grid)
+    return CylinderConnection._adopt(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +520,16 @@ def gauge(conn: CylinderConnection, phi: np.ndarray) -> CylinderConnection:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != conn.grid.shape:
         raise ValueError("phi grid must match the connection grid")
+    # one row block at a time into the new grid and frame; without a
+    # recorded frame (the identity) the frame is phi0 phi^-1
     phi0 = phi[0]
-    new_grid = _regauge(phi0, mul2(phi0, conn.grid), conn.dt)
-    # without a recorded frame (the identity) this is phi0 phi^-1
-    lead = phi0 if conn.s_frame is None else mul2(phi0, conn.s_frame)
-    new_frame = mul2(lead, mat_inv(phi))
-    return CylinderConnection(new_grid, s_frame=new_frame)
+    grid, frame = planes(phi.shape), planes(phi.shape)
+    for lo in range(0, conn.ns, _ROW_BLOCK):
+        blk = slice(lo, lo + _ROW_BLOCK)
+        _regauge(phi0, mul2(phi0, conn.grid[blk]), conn.dt, out=grid[blk])
+        lead = phi0 if conn.s_frame is None else mul2(phi0, conn.s_frame[blk])
+        mul2(lead, mat_inv(phi[blk]), out=frame[blk])
+    return CylinderConnection._adopt(grid, s_frame=frame)
 
 
 def gauge_crossing_class(phi: np.ndarray, tau: np.ndarray | None = None) -> int:
@@ -546,11 +616,14 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
     beta = smoothstep(svals)
     u = np.clip((svals - 0.25) * 2.0, 0.0, 1.0)
     dbeta = 60.0 * u ** 2 * (1.0 - u) ** 2  # exact beta'
-    t_tw = conn.t_nodes[None, :] - beta[:, None]
-    t_tw -= np.floor(t_tw)  # % 1.0 to the bit, without the float remainder
+
+    def twisted_times(lo, hi):  # t - beta on the rows lo..hi - 1
+        t = conn.t_nodes[None, :] - beta[lo:hi, None]
+        t -= np.floor(t)  # % 1.0 to the bit, without the float remainder
+        return t
 
     def twisted(lo, hi):  # A(s, t - beta) on the rows lo..hi - 1
-        return _interp_rows(conn.grid[lo:hi], t_tw[lo:hi])
+        return _interp_rows(conn.grid[lo:hi], twisted_times(lo, hi))
 
     # re-trivialize: dPsi/ds = -Psi A_s with A_s = -beta' A(s, t - beta),
     # Psi(0, .) = 1, midpoint rule.  beta' is exactly 0 off (1/4, 3/4), so
@@ -569,6 +642,7 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
         a = twisted(b0, b1)
         a += 0.0
         sub_identity(a, 0.5 * (a[..., 0, 0] + a[..., 1, 1]), out=grid[b0:b1])
+        del a  # the next block's samples take its place
     for b0 in range(lo, hi, _ROW_BLOCK):
         # rows b0 + 1..b1: every step exponential of a block in one call,
         # each step from the twisted rows on both its sides
@@ -582,6 +656,7 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
             np.matmul(psi[b0 + i], steps[i], out=psi[b0 + i + 1])
         rows = psi[b0 + 1:b1 + 1]
         _regauge(rows, mul2(rows, a[1:]), conn.dt, out=grid[b0 + 1:b1 + 1])
+        del a, steps
     psi[hi + 1:] = psi[hi]
     last = psi[hi:hi + 1]
     for b0 in range(hi + 1, ns, _ROW_BLOCK):
@@ -594,8 +669,9 @@ def dehn_twist(conn: CylinderConnection) -> CylinderConnection:
         for b0 in range(0, ns, _ROW_BLOCK):
             blk = slice(b0, b0 + _ROW_BLOCK)
             psi[blk] = mul2(psi[blk], _interp_rows(
-                conn.s_frame[blk], t_tw[blk], group=True))
-    return CylinderConnection(grid, s_frame=psi)
+                conn.s_frame[blk], twisted_times(b0, b0 + _ROW_BLOCK),
+                group=True))
+    return CylinderConnection._adopt(grid, s_frame=psi)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .core import (
     MARGIN,
     PATH_CONE_SLACK,
     classify,
-    cone_defects,
     cone_margins,
     psl_dist,
     random_conjugate,
@@ -575,10 +574,10 @@ CLAIMS = {
         # the linear -alpha term is held to the same bound
         "nonneg_curved": Claim(
             "max curvature cone defect (slack PATH_CONE_SLACK * bump peak^2)",
-            lambda c: float(cone_defects(c.curvature_grid).max()),
+            lambda c: c.max_curvature_defect(),
             PATH_CONE_SLACK * float(cx.bump_weight(0.5)) ** 2),
-        "flat": Claim("max |curvature|", lambda c: float(np.linalg.norm(
-            c.curvature_grid, axis=(2, 3)).max()), MARGIN),
+        "flat": Claim("max |curvature|", lambda c: c.max_curvature_norm(),
+                      MARGIN),
         "rot_boundary": Claim("|rot_boundary - claim|",
                               lambda c: c.rot_boundary(),
                               convention=BOUNDARY_CONVENTION),

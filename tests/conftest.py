@@ -5,6 +5,8 @@ PASS/FAIL table printed after the run.  Several tests may share a criterion
 number; the row fails if any of them does.
 """
 
+import tracemalloc
+
 import pytest
 
 from sl2rotor.config import RunConfig
@@ -21,6 +23,21 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def cfg():
     return RunConfig()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """peak(fn) -> (bytes, result): the tracemalloc peak of a second call
+    of fn, after a warm call, so that first-call caches do not count."""
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.hookimpl(wrapper=True)

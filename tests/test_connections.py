@@ -1,7 +1,5 @@
 """Loop and cylinder connections: holonomy, curvature, gauge and twists."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,8 @@ from sl2rotor.core import (
     J,
     GroupElement,
     _cs_funcs,
+    cone_defects,
+    cone_margins,
     mat_inv,
     mul2,
     planes,
@@ -20,6 +20,7 @@ from sl2rotor.core import (
     sl2_log,
 )
 from sl2rotor.paths import GroupPath, spiral_path
+from sl2rotor.suites import CLAIMS
 
 GAMMA_H = np.diag([0.1, -0.1])
 
@@ -113,6 +114,53 @@ def test_cylinder_needs_three_rows():
     assert conn.is_flat()
 
 
+def test_cylinder_projects_a_copy_of_the_callers_grid():
+    # the public constructor never writes the caller's array; a builder's
+    # own grid is taken over and projected in place
+    base = cx.winding_loop(1, GAMMA_H, 16).samples
+    grid = np.broadcast_to(base, (4,) + base.shape).copy()
+    grid[..., 0, 0] += 4e-10  # a trace inside the bound, projected away
+    before = grid.copy()
+    conn = cx.CylinderConnection(grid)
+    assert np.array_equal(grid, before) and grid.flags.writeable
+    assert not np.shares_memory(conn.grid, grid)
+    assert np.array_equal(conn.grid, project_reference(before))
+    taken = cx.CylinderConnection._adopt(grid)
+    assert taken.grid is grid and not grid.flags.writeable
+    assert_bits_equal(taken.grid, conn.grid)
+
+
+@pytest.mark.parametrize(("diag", "trace", "ok"), [
+    (0.5, 5e-10, True), (0.5, 2e-9, False),
+    (1e6, 5e-4, True), (1e6, 2e-3, False)])
+def test_trace_bound_is_relative_to_the_diagonal(diag, trace, ok):
+    # |a00 + a11| <= 1e-9 max(1, |a00|, |a11|), element by element
+    a = np.zeros((8, 2, 2))
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 1] = diag, 1.0, -diag
+    a[5, 0, 0] += trace
+    for make, arg in ((cx.LoopConnection, a),
+                      (cx.CylinderConnection,
+                       np.broadcast_to(a, (3,) + a.shape))):
+        if ok:
+            make(arg)
+        else:
+            with pytest.raises(ValueError, match="traceless"):
+                make(arg)
+
+
+def test_twice_twisted_rough_loop_stays_traceless():
+    # a second twist of a rough loop's cylinder reaches entries of about
+    # 1.2e11, where the regauge leaves traces of about 3e-8: inside a bound
+    # relative to each diagonal, though not inside an absolute 1e-9
+    rng = np.random.default_rng([17, 64])
+    r = rng.normal(size=(64, 2, 2))
+    r[..., 1, 1] = -r[..., 0, 0]
+    once = cx.dehn_twist(cx.pullback_flat(cx.LoopConnection(r), 17))
+    twice = cx.dehn_twist(once)
+    assert np.abs(twice.grid).max() > 1e11
+    assert np.isfinite(twice.s_frame).all()
+
+
 def test_cover_multiplies_rot():
     base = cx.winding_loop(1, GAMMA_H, 360)
     for mu in (-2, 2, 3):
@@ -144,6 +192,70 @@ def test_boundary_rot_and_margins_are_computed_once():
     assert conn.curvature_margins() is margins
     with pytest.raises(ValueError, match="read-only"):
         margins[0, 0] = 1.0
+
+
+def test_holonomy_loop_is_the_tracked_lifts_g(monkeypatch):
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
+                       mt=64)
+    conn = cx.from_nonpositive_path(p, a0)
+    made = (conn, cx.dehn_twist(conn))
+    want = [[c.lifted_holonomy_loop(i).g.m for i in (0, 7, c.ns - 1)]
+            for c in made]
+    # the holonomy is the last partial transport, with no lift tracked
+    monkeypatch.setattr(cover, "track_lift_along", None)
+    for c, rows in zip(made, want):
+        for i, m in zip((0, 7, c.ns - 1), rows):
+            assert_bits_equal(c.holonomy_loop(i).m, m)
+
+
+def curvature_reference(grid, ds):
+    """-dA/ds of a whole grid in one pass, as curvature_grid formed it."""
+    out = np.empty_like(grid)
+    np.subtract(grid[2:], grid[:-2], out=out[1:-1])
+    out[0] = -3 * grid[0] + 4 * grid[1] - grid[2]
+    out[-1] = 3 * grid[-1] - 4 * grid[-2] + grid[-3]
+    out /= 2 * ds
+    return np.negative(out, out=out)
+
+
+@pytest.mark.parametrize("ns", [3, 4, 32, 33, 34, 65])
+@pytest.mark.parametrize("layout", ["planes", "C"])
+def test_curvature_pass_matches_the_whole_grid(ns, layout):
+    rng = np.random.default_rng([ns, 3])
+    grid = rng.normal(size=(ns, 24, 2, 2))
+    grid[..., 1, 1] = -grid[..., 0, 0]
+    if layout == "planes":  # as the builders lay their grids out
+        g = planes(grid.shape)
+        g[...] = grid
+        conn = cx.CylinderConnection._adopt(g)
+    else:
+        conn = cx.CylinderConnection(grid)
+    assert plane_major(conn.grid) == (layout == "planes")
+    curv = curvature_reference(conn.grid, conn.ds)
+    assert_bits_equal(conn.curvature_margins(), cone_margins(curv))
+    assert conn.max_curvature_defect() == cone_defects(curv).max()
+    assert conn.max_curvature_norm() == np.linalg.norm(curv,
+                                                       axis=(2, 3)).max()
+    assert conn.is_flat() == (np.linalg.norm(curv, axis=(2, 3)).max()
+                              <= 1e-8)
+    assert "curvature_grid" not in vars(conn)  # formed only on request
+    assert_bits_equal(conn.curvature_grid, curv)
+
+
+def test_curvature_reads_leave_the_grid_unformed():
+    p, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8), n_steps=24,
+                       mt=40)
+    conn = cx.from_nonpositive_path(p, a0)
+    assert not conn.is_flat()
+    assert cx.milnor_wood_check(conn)["hypothesis_ok"]
+    claims = CLAIMS["cylinder-connection"]
+    got = {name: claims[name].recompute(conn)
+           for name in ("nonneg_curved", "flat")}
+    assert "curvature_grid" not in vars(conn)
+    # the claims read as they did from the whole grid
+    curv = conn.curvature_grid
+    assert got["nonneg_curved"] == cone_defects(curv).max()
+    assert got["flat"] == np.linalg.norm(curv, axis=(2, 3)).max()
 
 
 @pytest.mark.parametrize("end", [5, -3, 0.5, 2, -1])
@@ -386,7 +498,7 @@ def gauge_reference(conn, phi, mul=mul2):
     """Gauge grid and frame with the products formed by mul, and with a
     broadcast identity for no frame."""
     phi0 = phi[0]
-    dphi0 = cx._dt_of_grid(phi0, conn.dt, True)
+    dphi0 = cx._dt_of_grid(phi0, conn.dt)
     grid = project_reference(mul(mul(phi0, conn.grid) + dphi0, mat_inv(phi0)))
     old = conn.s_frame if conn.s_frame is not None else np.broadcast_to(
         np.eye(2), conn.grid.shape)
@@ -396,7 +508,7 @@ def gauge_reference(conn, phi, mul=mul2):
 def gauge_reference_matmul(conn, phi):
     """The gauge reference as it stood, with @ and two regauge products."""
     phi0 = phi[0]
-    dphi0 = cx._dt_of_grid(phi0, conn.dt, True)
+    dphi0 = cx._dt_of_grid(phi0, conn.dt)
     inv0 = mat_inv(phi0)
     grid = project_reference(phi0 @ conn.grid @ inv0 + (dphi0 @ inv0)[None])
     old = conn.s_frame if conn.s_frame is not None else np.broadcast_to(
@@ -511,6 +623,25 @@ def test_interp_rows_matches_per_sample_reference(group):
             assert np.array_equal(got[i, k], want), (i, t[i, k])
 
 
+@pytest.mark.parametrize("group", [False, True])
+def test_interp_rows_reads_every_layout_alike(group):
+    # plane-major rows are gathered with take, other layouts entry by
+    # entry: the same bits, laid out as planes either way
+    rng = np.random.default_rng([5, 2, group])
+    rows = rng.normal(size=(40, 12, 2, 2))
+    t = rng.uniform(-1.5, 2.5, size=(40, 30))
+    grid = planes(rows.shape)
+    grid[...] = rows
+    want = cx._interp_rows(grid, t, group=group)
+    for other, tt, sl in ((rows, t, slice(None)),
+                          (grid[5:37], t[5:37], slice(5, 37)),
+                          (rows[5:37], t[5:37], slice(5, 37)),
+                          (np.asfortranarray(rows), t, slice(None))):
+        got = cx._interp_rows(other, tt, group=group)
+        assert_bits_equal(got, want[sl])
+        assert plane_major(got)
+
+
 def test_interp_rows_rejects_nonfinite_times():
     rows = np.zeros((2, 8, 2, 2))
     for bad in (np.nan, np.inf):
@@ -542,23 +673,80 @@ def test_grids_and_frames_are_plane_major():
         assert plane_major(conn.s_frame)
 
 
-def test_crossings_read_samples_without_copying_the_grid():
+def test_crossings_read_samples_without_copying_the_grid(traced_peak):
     size = 128
     conn = cx.dehn_twist(cx.pullback_flat(
         cx.cover(cx.winding_loop(1, GAMMA_H, size), 2), size))
-    phi = planes((size, size, 2, 2))
-    phi[...] = rotation_gauge(2, size, size)
+    phi_c = rotation_gauge(2, size, size)  # C-order, as callers build it
+    phi = planes(phi_c.shape)
+    phi[...] = phi_c
+    tau = np.linspace(0.0, 1.0, size)
     for read in (lambda: cx.rot_c(conn, 0.5),
-                 lambda: cx.gauge_crossing_class(
-                     phi, np.linspace(0.0, 1.0, size))):
-        read()
-        tracemalloc.start()
-        try:
-            read()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+                 lambda: cx.gauge_crossing_class(phi, tau),
+                 lambda: cx.gauge_crossing_class(phi_c, tau)):
+        peak, _ = traced_peak(read)
         assert peak < conn.grid.nbytes
+
+
+# every builder and curvature read holds its outputs plus one row block
+# of temporaries: 256 KiB at 256 t-nodes, against 2 MiB per 256 x 256 grid
+MIB = 1 << 20
+
+
+def output_bytes(conn):
+    return conn.grid.nbytes + (0 if conn.s_frame is None
+                               else conn.s_frame.nbytes)
+
+
+@pytest.fixture(scope="module")
+def size256():
+    size = 256
+    path, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8),
+                          n_steps=size - 1, mt=size)
+    loop = cx.cover(cx.winding_loop(1, GAMMA_H, size), 2)
+    flat = cx.pullback_flat(loop, size)
+    phi = rotation_gauge(2, size, size)  # C-order
+    assert not plane_major(phi)
+    return {"path": path, "a0": a0, "loop": loop, "flat": flat, "phi": phi,
+            "gauged": cx.gauge(flat, phi)}
+
+
+BUILDS = {
+    "pullback_flat": lambda c: cx.pullback_flat(c["loop"], 256),
+    "from_nonpositive_path": lambda c: cx.from_nonpositive_path(c["path"],
+                                                                c["a0"]),
+    "dehn_twist-flat": lambda c: cx.dehn_twist(c["flat"]),
+    "dehn_twist-gauged": lambda c: cx.dehn_twist(c["gauged"]),
+    "gauge-C-order": lambda c: cx.gauge(c["flat"], c["phi"]),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_builders_hold_outputs_plus_a_row_block(build, size256, traced_peak):
+    peak, conn = traced_peak(lambda: BUILDS[build](size256))
+    assert peak < output_bytes(conn) + 1.5 * MIB
+
+
+@pytest.mark.parametrize("read", ["margins", "nonneg_curved", "flat"])
+def test_curvature_reads_hold_margins_plus_a_row_block(read, size256,
+                                                       traced_peak):
+    # each read of a fresh cylinder makes the one cached pass, whose
+    # output is the margins array and the two maxima
+    fresh = iter([BUILDS["from_nonpositive_path"](size256)
+                  for _ in range(2)])
+    recompute = (cx.CylinderConnection.curvature_margins if read == "margins"
+                 else CLAIMS["cylinder-connection"][read].recompute)
+    peak, _ = traced_peak(lambda: recompute(next(fresh)))
+    assert peak < 256 * 256 * 8 + 1.5 * MIB
+
+
+def test_constructor_at_the_default_build_size(traced_peak):
+    # build cylinder's default: 1001 s-rows of 256 t-nodes, 7.8 MiB
+    path, a0 = exp_family(cone_gamma(), GroupElement.diagonal(1.8),
+                          n_steps=1000, mt=256)
+    peak, conn = traced_peak(lambda: cx.from_nonpositive_path(path, a0))
+    assert conn.grid.shape == (1001, 256, 2, 2)
+    assert peak < output_bytes(conn) + 2 * MIB
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Universal cover lifts, rotation numbers, and the parity representation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,15 +380,10 @@ def test_lift_of_products_is_split_invariant(theta, sign, log_cond, phi, hyp,
 
 
 @pytest.mark.parametrize("c", [300.0, 1e4])
-def test_one_param_lift_memory_is_bounded(c):
+def test_one_param_lift_memory_is_bounded(c, traced_peak):
     # a rotation by 2 conjugated by diag(c, 1/c): log norm 2 c^2
     gamma = 2.0 * conjugated(np.diag([c, 1.0 / c]), J)
-    tracemalloc.start()
-    try:
-        got = cover.one_param_lift(gamma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, got = traced_peak(lambda: cover.one_param_lift(gamma))
     assert peak < 1 << 20
     split = cover.lift_of_products(np.repeat(gamma[None] / 8, 8, axis=0))
     assert abs(got.anchor - split.anchor) < 1e-9

@@ -1,7 +1,6 @@
 """Artifact JSON round-trips and literal parsing."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +187,7 @@ def test_payload_chunks_join_seamlessly(monkeypatch, chunk):
             indent=1) + "\n"
 
 
-def test_dump_json_streams_a_large_cylinder(tmp_path):
+def test_dump_json_streams_a_large_cylinder(tmp_path, traced_peak):
     # a 1001 x 256 grid is 8 MB of floats and 26 MB of text; written in
     # chunks, neither the text nor a string per float is ever held
     rng = np.random.default_rng(0)
@@ -196,12 +195,7 @@ def test_dump_json_streams_a_large_cylinder(tmp_path):
     grid[..., 1, 1] = -grid[..., 0, 0]
     obj = cylinder_to_obj(cx.CylinderConnection(grid))
     f = tmp_path / "c.json"
-    tracemalloc.start()
-    try:
-        dump_json(obj, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: dump_json(obj, f))
     assert peak < 16e6
     assert np.array_equal(obj_to_artifact(load_obj(str(f))).grid, obj["data"])
 
